@@ -32,7 +32,7 @@
 #![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// A normalized C token.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -146,9 +146,12 @@ fn hash_tokens(tokens: &[Token]) -> Vec<u64> {
 /// stream, then keep the minimum hash of every window of `w` consecutive
 /// k-grams.
 pub fn winnow_fingerprints(source: &str, k: usize, w: usize) -> HashSet<u64> {
-    let hashes = hash_tokens(&tokenize(source));
+    winnow(&hash_tokens(&tokenize(source)), k, w)
+}
+
+fn winnow(hashes: &[u64], k: usize, w: usize) -> HashSet<u64> {
     if hashes.len() < k {
-        return hashes.into_iter().collect();
+        return hashes.iter().copied().collect();
     }
     let kgrams: Vec<u64> = hashes
         .windows(k)
@@ -174,8 +177,12 @@ pub fn winnow_fingerprints(source: &str, k: usize, w: usize) -> HashSet<u64> {
 /// Moss-style similarity: containment of the smaller fingerprint set within
 /// the larger one, in `[0, 1]`.
 pub fn moss_similarity(a: &str, b: &str) -> f64 {
-    let fa = winnow_fingerprints(a, 5, 4);
-    let fb = winnow_fingerprints(b, 5, 4);
+    moss(&hash_tokens(&tokenize(a)), &hash_tokens(&tokenize(b)))
+}
+
+fn moss(ta: &[u64], tb: &[u64]) -> f64 {
+    let fa = winnow(ta, 5, 4);
+    let fb = winnow(tb, 5, 4);
     if fa.is_empty() || fb.is_empty() {
         return 0.0;
     }
@@ -186,59 +193,153 @@ pub fn moss_similarity(a: &str, b: &str) -> f64 {
 /// JPlag-style similarity: greedy string tiling over the normalized token
 /// streams with the given minimum match length; returns the fraction of the
 /// smaller stream covered by shared tiles.
+///
+/// Tiles are placed longest first, and among equally long matches the one
+/// starting first in `a` (then in `b`) wins.  Each tile marks its tokens in
+/// both streams, and matches shorter than `min_match` are never tiled.
 pub fn greedy_string_tiling(a: &str, b: &str, min_match: usize) -> f64 {
-    let ta = hash_tokens(&tokenize(a));
-    let tb = hash_tokens(&tokenize(b));
+    gst_coverage(
+        &hash_tokens(&tokenize(a)),
+        &hash_tokens(&tokenize(b)),
+        min_match,
+    )
+}
+
+fn gst_coverage(ta: &[u64], tb: &[u64], min_match: usize) -> f64 {
     if ta.is_empty() || tb.is_empty() {
         return 0.0;
     }
-    let mut marked_a = vec![false; ta.len()];
-    let mut marked_b = vec![false; tb.len()];
-    let mut covered = 0usize;
-    loop {
-        // Find the longest unmarked common substring.
-        let mut best_len = 0usize;
-        let mut best: Option<(usize, usize)> = None;
-        for i in 0..ta.len() {
-            if marked_a[i] {
+    tiled_tokens(ta, tb, min_match.max(1)) as f64 / ta.len().min(tb.len()) as f64
+}
+
+/// A maximal run of equal, unmarked tokens: `a[i..i + len] == b[j..j + len]`.
+#[derive(Clone, Copy)]
+struct Run {
+    i: usize,
+    j: usize,
+    len: usize,
+}
+
+impl Run {
+    /// Whether the two runs share a token of `a` or a token of `b`.
+    fn overlaps(&self, other: &Run) -> bool {
+        (self.i < other.i + other.len && other.i < self.i + self.len)
+            || (self.j < other.j + other.len && other.j < self.j + self.len)
+    }
+}
+
+/// Tokens of `a` covered by greedy string tiling against `b`, with
+/// Running-Karp-Rabin matching (Wise 1993): one pass of rolling hashes finds
+/// every maximal common run of at least `w` tokens, where a naive search
+/// rescans every token pair for every tile.
+///
+/// Marking a tile never creates or lengthens a run; it only cuts runs into
+/// pieces.  So the tiling proceeds on the runs alone, one length at a time:
+/// every run of the current maximal length is tiled in `(i, j)` order unless
+/// a tile placed before it at that length overlaps it, and then the runs
+/// those tiles cut are split.  This places exactly the tiles of the naive
+/// search that takes the first longest match in row-major order each time.
+fn tiled_tokens(a: &[u64], b: &[u64], w: usize) -> usize {
+    if a.len() < w || b.len() < w {
+        return 0;
+    }
+    let mut runs = common_runs(a, b, w);
+    let mut marked_a = vec![false; a.len()];
+    let mut marked_b = vec![false; b.len()];
+    let mut covered = 0;
+    while let Some(len) = runs.iter().map(|r| r.len).max() {
+        let mut longest: Vec<Run> = runs.iter().filter(|r| r.len == len).copied().collect();
+        longest.sort_unstable_by_key(|r| (r.i, r.j));
+        let mut tiles: Vec<Run> = Vec::new();
+        for r in longest {
+            if tiles.iter().all(|t| !r.overlaps(t)) {
+                marked_a[r.i..r.i + len].fill(true);
+                marked_b[r.j..r.j + len].fill(true);
+                tiles.push(r);
+            }
+        }
+        covered += len * tiles.len();
+        let mut pieces = Vec::with_capacity(runs.len());
+        for r in runs {
+            if tiles.iter().all(|t| !r.overlaps(t)) {
+                pieces.push(r);
                 continue;
             }
-            for j in 0..tb.len() {
-                if marked_b[j] || ta[i] != tb[j] {
-                    continue;
-                }
-                let mut l = 0;
-                while i + l < ta.len()
-                    && j + l < tb.len()
-                    && !marked_a[i + l]
-                    && !marked_b[j + l]
-                    && ta[i + l] == tb[j + l]
-                {
-                    l += 1;
-                }
-                if l > best_len {
-                    best_len = l;
-                    best = Some((i, j));
+            // Split at marked tokens, keeping the pieces still long enough to tile.
+            let mut start = 0;
+            for k in 0..=r.len {
+                if k == r.len || marked_a[r.i + k] || marked_b[r.j + k] {
+                    if k - start >= w {
+                        pieces.push(Run {
+                            i: r.i + start,
+                            j: r.j + start,
+                            len: k - start,
+                        });
+                    }
+                    start = k + 1;
                 }
             }
         }
-        if best_len < min_match.max(1) {
-            break;
-        }
-        let (i, j) = best.expect("a best match exists when best_len > 0");
-        for o in 0..best_len {
-            marked_a[i + o] = true;
-            marked_b[j + o] = true;
-        }
-        covered += best_len;
+        runs = pieces;
     }
-    covered as f64 / ta.len().min(tb.len()) as f64
+    covered
+}
+
+/// Every maximal run `a[i..i + len] == b[j..j + len]` with `len >= w`: the
+/// Karp-Rabin hashes of `b`'s `w`-token windows go into a table, which each
+/// window of `a` probes.
+fn common_runs(a: &[u64], b: &[u64], w: usize) -> Vec<Run> {
+    let mut starts: HashMap<u64, Vec<usize>> = HashMap::new();
+    for (j, h) in window_hashes(b, w).into_iter().enumerate() {
+        starts.entry(h).or_default().push(j);
+    }
+    let mut runs = Vec::new();
+    for (i, h) in window_hashes(a, w).into_iter().enumerate() {
+        for &j in starts.get(&h).map_or(&[][..], Vec::as_slice) {
+            // A run is extended from its first pair only; a hash collision
+            // extends to fewer than `w` tokens and is dropped.
+            if i > 0 && j > 0 && a[i - 1] == b[j - 1] {
+                continue;
+            }
+            let len = a[i..]
+                .iter()
+                .zip(&b[j..])
+                .take_while(|(x, y)| x == y)
+                .count();
+            if len >= w {
+                runs.push(Run { i, j, len });
+            }
+        }
+    }
+    runs
+}
+
+/// Karp-Rabin hashes of every `w`-token window of `tokens`, rolled in one
+/// pass; needs `1 <= w <= tokens.len()`.
+fn window_hashes(tokens: &[u64], w: usize) -> Vec<u64> {
+    const BASE: u64 = 0x100000001b3;
+    let top = (1..w).fold(1u64, |p, _| p.wrapping_mul(BASE));
+    let mut h = tokens[..w]
+        .iter()
+        .fold(0u64, |h, &t| h.wrapping_mul(BASE).wrapping_add(t));
+    let mut hashes = Vec::with_capacity(tokens.len() - w + 1);
+    hashes.push(h);
+    for (&out, &inp) in tokens.iter().zip(&tokens[w..]) {
+        h = h
+            .wrapping_sub(out.wrapping_mul(top))
+            .wrapping_mul(BASE)
+            .wrapping_add(inp);
+        hashes.push(h);
+    }
+    hashes
 }
 
 /// JPlag-style similarity with the conventional minimum match length of 9 tokens.
 pub fn jplag_similarity(a: &str, b: &str) -> f64 {
-    greedy_string_tiling(a, b, 9)
+    greedy_string_tiling(a, b, JPLAG_MIN_MATCH)
 }
+
+const JPLAG_MIN_MATCH: usize = 9;
 
 /// A combined similarity report between an original workload and its clone.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -252,9 +353,11 @@ pub struct SimilarityReport {
 impl SimilarityReport {
     /// Compares two C source files with both detectors.
     pub fn compare(original: &str, synthetic: &str) -> Self {
+        let ta = hash_tokens(&tokenize(original));
+        let tb = hash_tokens(&tokenize(synthetic));
         SimilarityReport {
-            moss: moss_similarity(original, synthetic),
-            jplag: jplag_similarity(original, synthetic),
+            moss: moss(&ta, &tb),
+            jplag: gst_coverage(&ta, &tb, JPLAG_MIN_MATCH),
         }
     }
 
