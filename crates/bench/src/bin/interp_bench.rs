@@ -3,16 +3,17 @@
 //! Interpreter-throughput benchmark: times the predecoded engine — in its
 //! fused (superinstructions + untagged register file) and unfused forms —
 //! against the legacy `dyn`-dispatch tree-walking interpreter under three
-//! observer loads (none, pipeline timing model, full statistical profiler),
-//! over the strided-loop microbenchmark plus the whole workload suite.
+//! observer loads (none, the scalar oracle pipeline model `PipelineSim`,
+//! full statistical profiler), over the strided-loop microbenchmark plus
+//! the whole workload suite.
 //!
 //! Pass `--large` to run the large-input suite (feasible now that compiled
 //! programs and predecoded images come out of the artifact store).  Pass
 //! `--assert-null-speedup <x>` to fail (exit 1) when the fused engine's
 //! `NullObserver` speedup over the legacy engine drops below `x` — CI uses
 //! this as a throughput-regression tripwire.  Pass `--machine-axis` to also
-//! time the Table III machine sweep both ways — one scalar `simulate_image`
-//! per machine versus one batched `simulate_image_batch` execution — after
+//! time the Table III machine sweep both ways — one scalar oracle run per
+//! machine versus one batched `simulate_image_batch` execution — after
 //! asserting per-lane bit-parity between the two; `--assert-batched-speedup
 //! <x>` (implies `--machine-axis`) fails the run when the batched sweep's
 //! speedup drops below `x`.  Pass `--workers N` to pin the scheduler width
@@ -40,7 +41,7 @@ use bsg_uarch::batch::simulate_image_batch;
 use bsg_uarch::exec::{execute_image, execute_legacy, ExecConfig, NullObserver};
 use bsg_uarch::image::ExecImage;
 use bsg_uarch::machine::MachineConfig;
-use bsg_uarch::pipeline::{simulate_image, PipelineConfig, PipelineSim, ReferencePipelineSim};
+use bsg_uarch::pipeline::{PipelineConfig, PipelineResult, PipelineSim};
 use bsg_workloads::{suite, InputSize};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -116,6 +117,13 @@ fn strided_loop(elems: i64, stride: i64, iters: i64) -> Program {
     f.blocks[exit.index()].term = Terminator::Return(Some(acc.into()));
     p.add_function(f);
     p
+}
+
+/// Times `image` under `config` with the scalar oracle model.
+fn oracle(image: &ExecImage, config: PipelineConfig, limit: &ExecConfig) -> PipelineResult {
+    let mut sim = PipelineSim::from_image(config, image);
+    execute_image(image, &mut sim, limit);
+    sim.result()
 }
 
 struct Measurement {
@@ -241,41 +249,32 @@ fn main() {
     );
     push("null/legacy", null_legacy.clone());
 
-    // --- Pipeline timing model as the observer. ---------------------------
+    // --- Scalar oracle pipeline model as the observer. ---------------------
+    // One fixed heavyweight observer for all three engines; the legacy
+    // engine reads its site table from the program's image.
     let pipe = PipelineConfig::ptlsim_2wide(16);
     push(
         "pipeline/fused",
         images
             .iter()
-            .map(|image| {
-                best_of(passes, || {
-                    let mut sim = PipelineSim::from_image(pipe, image);
-                    execute_image(image, &mut sim, &limit);
-                    sim.result().instructions
-                })
-            })
+            .map(|image| best_of(passes, || oracle(image, pipe, &limit).instructions))
             .collect(),
     );
     push(
         "pipeline/predecoded",
         images_unfused
             .iter()
-            .map(|image| {
-                best_of(passes, || {
-                    let mut sim = PipelineSim::from_image(pipe, image);
-                    execute_image(image, &mut sim, &limit);
-                    sim.result().instructions
-                })
-            })
+            .map(|image| best_of(passes, || oracle(image, pipe, &limit).instructions))
             .collect(),
     );
     push(
         "pipeline/legacy",
         programs
             .iter()
-            .map(|p| {
+            .zip(&images)
+            .map(|(p, image)| {
                 best_of(passes, || {
-                    let mut sim = ReferencePipelineSim::new(pipe, p);
+                    let mut sim = PipelineSim::from_image(pipe, image);
                     execute_legacy(p, &mut sim, &limit);
                     sim.result().instructions
                 })
@@ -324,20 +323,26 @@ fn main() {
             .collect(),
     );
 
-    // --- Machine-axis sweep: scalar per-machine vs one batched execution. --
-    // This is the unit of work a Figure 11 grid task performs per (workload,
-    // level) cell: the full Table III roster over one image.  Parity is
-    // asserted before anything is timed — a fast wrong answer is not a win.
+    // --- Machine-axis sweep: scalar oracle per machine vs one batched ------
+    // execution.  This is the unit of work a Figure 11 grid task performs
+    // per (workload, level) cell: the full Table III roster over one image.
+    // Both sides run the unfused twin without a budget, as the figures do.
+    // Parity is asserted before anything is timed — a fast wrong answer is
+    // not a win.
     let machine_axis_result: Option<(f64, f64, f64)> = machine_axis.then(|| {
         let machines = MachineConfig::table3();
         let configs: Vec<PipelineConfig> = machines.iter().map(|m| m.pipeline).collect();
-        let suite_images: Vec<&ExecImage> = compiled.iter().map(|(_, art, _)| &art.image).collect();
+        let suite_images: Vec<&ExecImage> = compiled
+            .iter()
+            .map(|(_, art, _)| art.image.unfused_twin())
+            .collect();
+        let unbounded = ExecConfig::default();
         for image in &suite_images {
             for (c, lane) in configs.iter().zip(simulate_image_batch(image, &configs)) {
                 assert_eq!(
                     lane,
-                    simulate_image(image, *c),
-                    "batched lane diverged from scalar simulate_image"
+                    oracle(image, *c, &unbounded),
+                    "batched lane diverged from the scalar oracle"
                 );
             }
         }
@@ -353,7 +358,7 @@ fn main() {
         let scalar_seconds = time_passes(&mut || {
             for image in &suite_images {
                 for c in &configs {
-                    std::hint::black_box(simulate_image(image, *c));
+                    std::hint::black_box(oracle(image, *c, &unbounded));
                 }
             }
         });

@@ -15,7 +15,7 @@
 //! * [`cross`] and [`refs`] build the axis products declaratively, so a
 //!   figure spec reads as "per workload, per (level, variant)" instead of
 //!   nested `flat_map`s.
-//! * [`Section`] + the [`crate::FIGURES`] table turn every fig/table binary
+//! * [`Section`] + the [`crate::FIGURES`] table turn every table and figure
 //!   into a name lookup: which sections to render, over which input sizes —
 //!   a data change, not a code change, when a figure is added.
 //!

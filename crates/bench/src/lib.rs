@@ -1,9 +1,9 @@
 //! # bsg-bench — experiment harness for the IISWC 2010 reproduction
 //!
 //! One function per table / figure of the paper's evaluation section; the
-//! `src/bin/*` binaries are one-line lookups into the declarative
-//! [`FIGURES`] registry.  Run e.g. `cargo run -p bsg-bench --release --bin
-//! fig04`, or `all_experiments` for the whole report.
+//! `bsg-figure` binary looks its argument up in the declarative [`FIGURES`]
+//! registry.  Run e.g. `cargo run -p bsg-bench --release --bin bsg-figure
+//! -- fig04`, or `all_experiments` for the whole report.
 //!
 //! The harness runs on the workspace's simulated substrate, so absolute
 //! numbers differ from the paper's hardware measurements; what is reproduced
@@ -42,11 +42,12 @@ use bsg_profile::{MixObserver, NodeKey, ProfileConfig, Sfgl, SfglLoop, Statistic
 use bsg_runtime::{ArtifactStore, CompiledArtifact, Runtime, SourceId};
 use bsg_similarity::SimilarityReport;
 use bsg_synth::{scale_down, SynthesisConfig, TargetedSynthesis};
+use bsg_uarch::batch::simulate_image_batch;
 use bsg_uarch::branch::{Hybrid, PredictorObserver};
 use bsg_uarch::cache::{CacheConfig, CacheObserver};
 use bsg_uarch::exec::{execute_image, ExecConfig};
 use bsg_uarch::machine::{MachineConfig, MachineIsa};
-use bsg_uarch::pipeline::PipelineConfig;
+use bsg_uarch::pipeline::{PipelineConfig, PipelineResult};
 use bsg_workloads::{fibonacci_workload, suite, InputSize, Workload};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -288,14 +289,13 @@ fn mix_of(a: &CompiledArtifact) -> bsg_profile::InstructionMix {
 }
 
 // ---------------------------------------------------------------------------
-// The figure registry: every binary is a row in this table.
+// The figure registry: every `bsg-figure <name>` is a row in this table.
 // ---------------------------------------------------------------------------
 
-/// One fig/table binary, as data: which sections it prints and which suites
-/// it needs.  Adding a figure means adding a row, not a binary's worth of
-/// sweep code.
+/// One table or figure, as data: which sections it prints and which suites
+/// it needs.  Adding a figure means adding a row, not sweep code.
 pub struct FigureSpec {
-    /// Binary / lookup name (`fig04`, `table1`, ...).
+    /// Lookup name (`fig04`, `table1`, ...).
     pub name: &'static str,
     /// Input sizes whose suite artifacts the sections consume, in
     /// concatenation order (empty for standalone sections).
@@ -317,7 +317,7 @@ fn fig08(a: &[WorkloadArtifacts]) -> String {
     fig07_08(a, OptLevel::O2)
 }
 
-/// Every fig/table binary of the harness, declaratively.
+/// Every table and figure `bsg-figure` renders, declaratively.
 pub const FIGURES: &[FigureSpec] = &[
     FigureSpec {
         name: "table1",
@@ -425,8 +425,12 @@ pub fn figure_spec(name: &str) -> Option<&'static FigureSpec> {
 }
 
 /// Renders a registered figure: prepares the suites its spec names and
-/// joins its sections with a blank line.  This is the whole body of every
-/// fig/table binary.
+/// joins its sections with a blank line.  This is what `bsg-figure <name>`
+/// prints.
+///
+/// # Panics
+///
+/// Panics when `name` is not in [`FIGURES`].
 pub fn render_figure(name: &str) -> String {
     let spec = figure_spec(name).unwrap_or_else(|| panic!("unknown figure {name}"));
     let mut artifacts = Vec::new();
@@ -438,11 +442,6 @@ pub fn render_figure(name: &str) -> String {
         .map(|s| s.render(&artifacts))
         .collect::<Vec<_>>()
         .join("\n")
-}
-
-/// `fn main` of every fig/table binary: render the named figure to stdout.
-pub fn figure_main(name: &str) {
-    print!("{}", render_figure(name));
 }
 
 // ---------------------------------------------------------------------------
@@ -866,16 +865,18 @@ pub fn fig09(artifacts: &[WorkloadArtifacts]) -> String {
 /// Figure 10: CPI on a 2-wide out-of-order processor with 8/16/32 KB data
 /// caches, original versus synthetic.
 pub fn fig10(artifacts: &[WorkloadArtifacts]) -> String {
-    let sizes = [8u64, 16, 32];
-    // Axes: workload × variant × cache size; the store's predecoded image
-    // serves every size of the sweep.
-    let points = cross(&[false, true], &sizes);
-    let m = Experiment::over(cross(&refs(artifacts), &points)).measure(|(a, (synthetic, kb))| {
+    let configs = [8, 16, 32].map(PipelineConfig::ptlsim_2wide);
+    // Axes: workload × variant; one batched execution times all three
+    // cache sizes.
+    let m = Experiment::over(cross(&refs(artifacts), &[false, true])).measure(|(a, synthetic)| {
         let art = a.compiled(
             &CompileOptions::new(OptLevel::O0, TargetIsa::X86),
             *synthetic,
         );
-        bsg_uarch::pipeline::simulate_image(&art.image, PipelineConfig::ptlsim_2wide(*kb)).cpi()
+        simulate_image_batch(&art.image, &configs)
+            .iter()
+            .map(PipelineResult::cpi)
+            .collect::<Vec<f64>>()
     });
     let mut out = String::new();
     let _ = writeln!(
@@ -887,43 +888,28 @@ pub fn fig10(artifacts: &[WorkloadArtifacts]) -> String {
         "{:<24} {:>6} {:>6} {:>6}  |  {:>6} {:>6} {:>6}",
         "benchmark", "8KB", "16KB", "32KB", "8KB", "16KB", "32KB"
     );
-    for (a, row) in artifacts.iter().zip(m.per(points.len())) {
+    for (a, pair) in artifacts.iter().zip(m.per(2)) {
+        let (org, syn) = (&pair[0], &pair[1]);
         let _ = writeln!(
             out,
             "{:<24} {:>6.2} {:>6.2} {:>6.2}  |  {:>6.2} {:>6.2} {:>6.2}",
-            a.workload.name, row[0], row[1], row[2], row[3], row[4], row[5]
+            a.workload.name, org[0], org[1], org[2], syn[0], syn[1], syn[2]
         );
     }
     out
 }
 
-/// `true` when the machine-axis figures must use one scalar simulation per
-/// machine instead of the batched path — the escape hatch CI diffs against
-/// the batched output (they are bit-identical; this proves it end to end).
-fn fig11_scalar_mode() -> bool {
-    std::env::var("BSG_FIG11_SCALAR")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
-}
-
 /// Times one compiled unit on every machine of `machines`, returning
-/// `time_ns` in roster order.  The batched path groups the roster by ISA —
-/// machines compile per ISA, so only same-ISA machines may legally share a
-/// binary — and times each group's image with **one** functional execution
-/// ([`MachineConfig::run_batch`]); Table III's five machines cost three
+/// `time_ns` in roster order.  The roster is grouped by ISA — machines
+/// compile per ISA, so only same-ISA machines may legally share a binary —
+/// and each group's image is timed with **one** functional execution
+/// ([`MachineConfig::run_batch`]): Table III's five machines cost three
 /// executions instead of five, and each (workload, level) unit executes
-/// exactly once per distinct compiled image.  `BSG_FIG11_SCALAR=1` falls
-/// back to one scalar simulation per machine, bit-identical per lane.
+/// exactly once per distinct compiled image.
 fn machine_axis_times(
     machines: &[MachineConfig],
     compiled_for: &dyn Fn(MachineIsa) -> Arc<CompiledArtifact>,
 ) -> Vec<f64> {
-    if fig11_scalar_mode() {
-        return machines
-            .iter()
-            .map(|m| m.run_image(&compiled_for(m.isa).image).time_ns)
-            .collect();
-    }
     let mut times = vec![0.0; machines.len()];
     let mut isas: Vec<MachineIsa> = Vec::new();
     for m in machines {
@@ -965,8 +951,8 @@ fn fig11_over(artifacts: &[WorkloadArtifacts], machines: &[MachineConfig], title
     // per ISA.  The machine axis no longer multiplies the task count; the
     // 4 × (N + 1) grid still load-balances across workloads, and every row
     // of the rendered figure reads from the same measured values the
-    // per-cell sharding produced (bit-identical lanes, proven by the
-    // batched differential suite and the scalar-mode golden diff).
+    // per-cell sharding produced (bit-identical lanes, proven against the
+    // scalar oracle by the batched differential suite).
     let group: Vec<Option<&WorkloadArtifacts>> = artifacts
         .iter()
         .map(Some)

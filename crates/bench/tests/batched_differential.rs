@@ -1,15 +1,16 @@
-//! Batched-vs-scalar differential suite over real workloads.
+//! Batched-model-vs-oracle differential suite over real workloads.
 //!
-//! The batched multi-config model's contract is **bit-parity**: each lane of
-//! [`simulate_image_batch`] must equal the scalar [`simulate_image`] result
-//! exactly, for every workload in the registry, on both the fused image and
-//! its unfused twin, across the full extended machine roster (which
-//! exercises lane dedup, shared L1/L2 state and the in-order model).  On
-//! top of raw lane parity, the figure layer must not notice the rerouting:
-//! batched Figure 11 text is byte-identical at any worker count and to the
-//! scalar-mode (`BSG_FIG11_SCALAR=1`) rendering, and the static verifier is
-//! observer-agnostic — running an image under [`BatchedPipelineSim`] changes
-//! nothing the twin/replay passes look at.
+//! The batched multi-config model is the production timing model, and its
+//! contract is **bit-parity** with the scalar oracle
+//! [`PipelineSim`]: each lane of [`simulate_image_batch`] — and each
+//! one-config [`simulate_image`] — must equal the oracle's result exactly,
+//! for every workload in the registry, on both the fused image and its
+//! unfused twin, across the full extended machine roster plus Figure 10's
+//! three cache sizes (which exercises lane dedup, shared L1/L2 state and
+//! the in-order model).  On top of raw lane parity, Figure 11 text is
+//! byte-identical at any worker count, and the static verifier is
+//! observer-agnostic — running an image under [`BatchedPipelineSim`]
+//! changes nothing the twin/replay passes look at.
 //!
 //! Tier-1 covers the small-input half of the registry (18 workloads); the
 //! tier-2 job (`BSG_LARGE_TESTS=1`) extends the same sweep to the large
@@ -20,8 +21,9 @@ use bsg_compiler::{CompileOptions, OptLevel};
 use bsg_runtime::{with_workers, ArtifactStore};
 use bsg_uarch::batch::{simulate_image_batch, BatchedPipelineSim};
 use bsg_uarch::exec::{execute_image, ExecConfig};
+use bsg_uarch::image::ExecImage;
 use bsg_uarch::machine::MachineConfig;
-use bsg_uarch::pipeline::{simulate_image, PipelineConfig, PipelineSim};
+use bsg_uarch::pipeline::{simulate_image, PipelineConfig, PipelineResult, PipelineSim};
 use bsg_uarch::verify::verify_image;
 use bsg_workloads::{suite, InputSize, Workload};
 
@@ -42,47 +44,44 @@ fn registry_workloads() -> Vec<Workload> {
     workloads
 }
 
-/// Per-lane bit-equality with the scalar model over the whole registry,
-/// through the public entry points (both run the unfused twin).
-#[test]
-fn batched_lanes_equal_scalar_simulate_image_across_the_registry() {
-    let configs = roster_configs();
-    for w in registry_workloads() {
-        let art =
-            ArtifactStore::global().compiled(&w.program, &CompileOptions::portable(OptLevel::O0));
-        let batched = simulate_image_batch(&art.image, &configs);
-        assert_eq!(batched.len(), configs.len());
-        for (c, lane) in configs.iter().zip(&batched) {
-            let scalar = simulate_image(&art.image, *c);
-            assert_eq!(*lane, scalar, "{}: lane {c:?} diverged", w.name);
-        }
-    }
+/// The scalar oracle's result for one config over `image`'s event stream.
+fn oracle(image: &ExecImage, config: PipelineConfig) -> PipelineResult {
+    let mut sim = PipelineSim::from_image(config, image);
+    execute_image(image, &mut sim, &ExecConfig::default());
+    sim.result()
 }
 
-/// The same parity with the observers driven explicitly over **both** twins:
-/// the batched model is stream-defined, so feeding it the fused event stream
-/// must agree with scalar models fed the identical stream — and ditto for
-/// the unfused twin's stream.
+/// Per-lane bit-equality with the oracle over the whole registry: through
+/// the public entry points (which run the unfused twin), and with the
+/// batched observer driven explicitly over the fused twin's stream.
 #[test]
-fn batched_lanes_equal_scalar_sims_on_fused_and_unfused_twins() {
-    let configs = roster_configs();
-    let config = ExecConfig::default();
+fn batched_lanes_equal_the_scalar_oracle_across_the_registry() {
+    let configs: Vec<PipelineConfig> = roster_configs()
+        .into_iter()
+        .chain([8, 16, 32].map(PipelineConfig::ptlsim_2wide))
+        .collect();
     for w in registry_workloads() {
         let art =
             ArtifactStore::global().compiled(&w.program, &CompileOptions::portable(OptLevel::O0));
-        for (twin, image) in [("fused", &art.image), ("unfused", art.image.unfused_twin())] {
-            let mut batched = BatchedPipelineSim::from_image(&configs, image);
-            execute_image(image, &mut batched, &config);
-            for (c, lane) in configs.iter().zip(batched.results()) {
-                let mut scalar = PipelineSim::from_image(*c, image);
-                execute_image(image, &mut scalar, &config);
-                assert_eq!(
-                    lane,
-                    scalar.result(),
-                    "{}: {twin} twin lane {c:?} diverged",
-                    w.name
-                );
-            }
+        let expected: Vec<PipelineResult> =
+            configs.iter().map(|c| oracle(&art.image, *c)).collect();
+        let mut sim = BatchedPipelineSim::from_image(&configs, &art.image);
+        execute_image(&art.image, &mut sim, &ExecConfig::default());
+        let fused = sim.results();
+        let batched = simulate_image_batch(&art.image, &configs);
+        assert_eq!(batched.len(), configs.len());
+        for (i, c) in configs.iter().enumerate() {
+            let name = &w.name;
+            assert_eq!(batched[i], expected[i], "{name}: lane {c:?} diverged");
+            assert_eq!(
+                fused[i], expected[i],
+                "{name}: fused-twin lane {c:?} diverged"
+            );
+            assert_eq!(
+                simulate_image(&art.image, *c),
+                expected[i],
+                "{name}: one-lane {c:?} diverged"
+            );
         }
     }
 }
@@ -119,14 +118,10 @@ fn verifier_accepts_images_executed_under_the_batched_observer() {
     }
 }
 
-/// Batched Figure 11 text is byte-identical at 1, 2 and 8 workers, and to
-/// the scalar-mode rendering — the figure-layer face of lane bit-parity.
+/// Batched Figure 11 text is byte-identical at 1, 2 and 8 workers — the
+/// figure-layer face of lane bit-parity.
 #[test]
-fn batched_fig11_text_is_deterministic_and_matches_scalar_mode() {
-    assert!(
-        std::env::var("BSG_FIG11_SCALAR").is_err(),
-        "test environment must not preset BSG_FIG11_SCALAR"
-    );
+fn batched_fig11_text_is_deterministic_across_worker_counts() {
     let picks = ["adpcm/small", "bitcount/small", "crc32/small"];
     let artifacts: Vec<WorkloadArtifacts> = suite(InputSize::Small)
         .into_iter()
@@ -142,11 +137,4 @@ fn batched_fig11_text_is_deterministic_and_matches_scalar_mode() {
             "batched fig11 diverges at {workers} workers"
         );
     }
-    std::env::set_var("BSG_FIG11_SCALAR", "1");
-    let scalar = with_workers(1, || fig11(&artifacts));
-    std::env::remove_var("BSG_FIG11_SCALAR");
-    assert_eq!(
-        scalar, reference,
-        "scalar-mode fig11 must be byte-identical to the batched rendering"
-    );
 }

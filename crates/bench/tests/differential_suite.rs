@@ -1,12 +1,14 @@
 //! Suite-level differential tests: over every compiled workload of the
 //! small-input suite, the predecoded engine must produce bit-identical
-//! [`ExecOutcome`]s, [`PipelineResult`]s and [`StatisticalProfile`]s versus
-//! the legacy `dyn`-dispatch tree-walking path.
+//! [`ExecOutcome`]s and [`StatisticalProfile`]s versus the legacy
+//! `dyn`-dispatch tree-walking path, and the production timing model on the
+//! predecoded engine must equal the scalar oracle on the legacy engine.
 
 use bsg_compiler::{compile, CompileOptions, OptLevel, TargetIsa};
 use bsg_profile::{profile_program, profile_program_reference, ProfileConfig};
 use bsg_uarch::exec::{execute, execute_dyn, execute_legacy, ExecConfig, NullObserver};
-use bsg_uarch::pipeline::{PipelineConfig, PipelineSim, ReferencePipelineSim};
+use bsg_uarch::image::ExecImage;
+use bsg_uarch::pipeline::{simulate_image, PipelineConfig, PipelineSim};
 use bsg_workloads::{suite, InputSize};
 
 fn limit() -> ExecConfig {
@@ -37,17 +39,12 @@ fn pipeline_results_match_across_the_suite() {
     for w in suite(InputSize::Small) {
         let compiled = compile(&w.program, &CompileOptions::portable(OptLevel::O0)).unwrap();
         let config = PipelineConfig::ptlsim_2wide(16);
-        let mut new_sim = PipelineSim::new(config, &compiled.program);
-        let mut old_sim = ReferencePipelineSim::new(config, &compiled.program);
-        execute(&compiled.program, &mut new_sim, &limit());
-        execute_legacy(&compiled.program, &mut old_sim, &limit());
-        assert_eq!(
-            new_sim.result(),
-            old_sim.result(),
-            "{} pipeline diverges",
-            w.name
-        );
-        assert!(new_sim.result().instructions > 0);
+        let image = ExecImage::new(&compiled.program);
+        let new = simulate_image(&image, config);
+        let mut old_sim = PipelineSim::from_image(config, &image);
+        execute_legacy(&compiled.program, &mut old_sim, &ExecConfig::default());
+        assert_eq!(new, old_sim.result(), "{} pipeline diverges", w.name);
+        assert!(new.instructions > 0);
     }
 }
 

@@ -1,14 +1,16 @@
 //! Batched multi-config pipeline simulation: one functional execution
 //! drives the timing models of **all** machine configurations at once.
+//! This is the production timing model; a single config is a one-lane
+//! batch ([`crate::pipeline::simulate_image`]).
 //!
-//! The paper's machine-axis experiments (Figure 11, Table III) form a grid —
-//! workloads × optimization levels × machines — and the scalar path replays
-//! the identical dynamic instruction stream once per machine.  The batched
-//! model exploits that the instruction stream does not depend on the machine
-//! config: [`BatchedPipelineSim`] is an ordinary [`Observer`] (so it drops
-//! into the monomorphized dispatch loop without touching `exec.rs`) that
-//! fans each retired instruction into structure-of-arrays per-lane state,
-//! one lane per *unique* [`PipelineConfig`].
+//! The paper's timing experiments replay one dynamic instruction stream
+//! under several machine configurations: Figure 10 varies the L1 size,
+//! Figure 11 the Table III machine.  The instruction stream does not depend
+//! on the machine config, so [`BatchedPipelineSim`] is an ordinary
+//! [`Observer`] (it drops into the monomorphized dispatch loop without
+//! touching `exec.rs`) that fans each retired instruction into
+//! structure-of-arrays per-lane state, one lane per *unique*
+//! [`PipelineConfig`].
 //!
 //! # Lane layout and sharing
 //!
@@ -18,7 +20,8 @@
 //! per-lane offsets).  `reg_ready` becomes a flat `reg × nlanes` array so
 //! the per-lane inner loop over one register's slots walks adjacent memory.
 //! Three layers of state are *shared* rather than replicated, each justified
-//! by a bit-parity argument (and proven by the differential suite):
+//! by a bit-parity argument (and proven against the scalar oracle by the
+//! differential suite):
 //!
 //! * **Branch predictor and branch stats** — the scalar model always builds
 //!   [`Hybrid::default_config()`] regardless of the pipeline config, and
@@ -29,9 +32,10 @@
 //!   address stream.  Lanes with the same L1 config share one L1 (its hit
 //!   stream is identical); lanes with the same *(L1, L2)* pair share one L2
 //!   (the L2's access stream is the L1's miss stream, so sharing requires
-//!   the upstream L1 to match too).  Each unique cache is accessed exactly
-//!   once per memory operation — Table III's five machines touch two L1s
-//!   and four L2s instead of five of each.
+//!   the upstream L1 to match too).  The L2s are stored grouped by their
+//!   L1, so one access walks each L1 and then only the L2s behind it.  Each
+//!   unique cache is accessed exactly once per memory operation — Table
+//!   III's five machines touch two L1s and four L2s instead of five of each.
 //! * **The instruction counter** — every lane times the same stream.
 //!
 //! Identical full configs collapse into one lane outright (Table III's two
@@ -65,15 +69,14 @@ struct LaneCfg {
     l2: usize,
 }
 
-/// Memory-level outcome of one access, per unique L2: index 0 = L1 hit,
-/// 1 = L2 hit, 2 = memory.
+/// Memory level that served one access, per unique L2.
 const LEVEL_L1: u8 = 0;
 const LEVEL_L2: u8 = 1;
+const LEVEL_MEM: u8 = 2;
 
 /// The batched multi-config timing model; an [`Observer`] like the scalar
-/// [`PipelineSim`](crate::pipeline::PipelineSim), but timing every config
-/// in one pass.  The design discussion's `BatchedObserver` — see the module
-/// docs for the lane layout.
+/// oracle [`PipelineSim`](crate::pipeline::PipelineSim), but timing every
+/// config in one pass.  See the module docs for the lane layout.
 pub struct BatchedPipelineSim {
     /// Maps each *input* config index to its unique lane.
     lane_of: Vec<usize>,
@@ -81,14 +84,14 @@ pub struct BatchedPipelineSim {
     /// Indexed by dense site id (the image's site table order), shared by
     /// every lane.
     info: Vec<SiteInfo>,
-    /// Unique L1s / L2s (see module docs for the sharing rule).
+    /// Unique L1s (see module docs for the sharing rule).
     l1s: Vec<Cache>,
+    /// Unique L2s, grouped by the L1 whose miss stream feeds them: the first
+    /// `l2s_per_l1[0]` belong to L1 0, the next `l2s_per_l1[1]` to L1 1, ...
     l2s: Vec<Cache>,
-    /// For each unique L2, the unique L1 whose miss stream feeds it.
-    l2_l1: Vec<usize>,
-    /// Scratch: per-unique-L1 hit flag for the access being classified.
-    l1_hit: Vec<bool>,
-    /// Scratch: per-unique-L2 memory level of the current *read* access.
+    l2s_per_l1: Vec<usize>,
+    /// Scratch: per-unique-L2 memory level of the last classified access
+    /// (the lane loop reads it only right after classifying a read).
     mem_level: Vec<u8>,
     predictor: Hybrid,
     branch_stats: BranchStats,
@@ -123,20 +126,33 @@ impl BatchedPipelineSim {
             .collect();
         let nlanes = unique.len();
 
+        // Unique L1s, then each L1's unique L2s, stored contiguously.
         let mut l1_cfgs: Vec<CacheConfig> = Vec::new();
-        let mut l2_keys: Vec<(usize, CacheConfig)> = Vec::new();
+        for c in &unique {
+            if !l1_cfgs.contains(&c.l1) {
+                l1_cfgs.push(c.l1);
+            }
+        }
+        let mut l2_keys: Vec<(CacheConfig, CacheConfig)> = Vec::new();
+        let mut l2s_per_l1 = Vec::with_capacity(l1_cfgs.len());
+        for l1 in &l1_cfgs {
+            let group_start = l2_keys.len();
+            for c in unique.iter().filter(|c| c.l1 == *l1) {
+                if !l2_keys[group_start..].contains(&(c.l1, c.l2)) {
+                    l2_keys.push((c.l1, c.l2));
+                }
+            }
+            l2s_per_l1.push(l2_keys.len() - group_start);
+        }
+
         let mut lanes: Vec<LaneCfg> = Vec::with_capacity(nlanes);
         let mut rob_off = 0usize;
         for c in &unique {
-            let l1 = l1_cfgs.iter().position(|x| *x == c.l1).unwrap_or_else(|| {
-                l1_cfgs.push(c.l1);
-                l1_cfgs.len() - 1
-            });
-            let key = (l1, c.l2);
-            let l2 = l2_keys.iter().position(|x| *x == key).unwrap_or_else(|| {
-                l2_keys.push(key);
-                l2_keys.len() - 1
-            });
+            let l1 = l1_cfgs.iter().position(|x| *x == c.l1).expect("L1 listed");
+            let l2 = l2_keys
+                .iter()
+                .position(|x| *x == (c.l1, c.l2))
+                .expect("L2 listed");
             let rob_cap = c.rob_size.max(1);
             lanes.push(LaneCfg {
                 width: c.width,
@@ -166,10 +182,9 @@ impl BatchedPipelineSim {
             lane_of,
             info,
             l1s: l1_cfgs.iter().map(|c| Cache::new(*c)).collect(),
-            l1_hit: vec![false; l1_cfgs.len()],
             l2s: l2_keys.iter().map(|(_, c)| Cache::new(*c)).collect(),
-            mem_level: vec![0; l2_keys.len()],
-            l2_l1: l2_keys.iter().map(|(l1, _)| *l1).collect(),
+            l2s_per_l1,
+            mem_level: vec![LEVEL_L1; l2_keys.len()],
             predictor: Hybrid::default_config(),
             branch_stats: BranchStats::default(),
             reg_ready: vec![0; nregs * nlanes],
@@ -186,24 +201,21 @@ impl BatchedPipelineSim {
         }
     }
 
-    /// Runs one address through every unique cache, in the same per-cache
-    /// order the scalar models see.  When `record` is set (reads) the
-    /// memory level lands in `mem_level`; writes update cache state and
-    /// stats only, exactly like the scalar write-buffer rule.
-    fn classify(&mut self, addr: u64, record: bool) {
-        for (hit, cache) in self.l1_hit.iter_mut().zip(self.l1s.iter_mut()) {
-            *hit = cache.access(addr);
-        }
-        for (j, cache) in self.l2s.iter_mut().enumerate() {
-            let level = if self.l1_hit[self.l2_l1[j]] {
-                LEVEL_L1
-            } else if cache.access(addr) {
-                LEVEL_L2
-            } else {
-                2
-            };
-            if record {
-                self.mem_level[j] = level;
+    /// Runs one address through every unique cache — each L1, then the L2s
+    /// its misses feed — and records the level that served it per L2 in
+    /// `mem_level`.
+    fn classify(&mut self, addr: u64) {
+        let mut l2s = self.l2s.iter_mut().zip(self.mem_level.iter_mut());
+        for (l1, &n) in self.l1s.iter_mut().zip(&self.l2s_per_l1) {
+            let l1_hit = l1.access(addr);
+            for (l2, level) in l2s.by_ref().take(n) {
+                *level = if l1_hit {
+                    LEVEL_L1
+                } else if l2.access(addr) {
+                    LEVEL_L2
+                } else {
+                    LEVEL_MEM
+                };
             }
         }
     }
@@ -231,12 +243,7 @@ impl Observer for BatchedPipelineSim {
         let base = base_latency(event.class);
         let has_read = event.mem_read.is_some();
         if let Some(a) = event.mem_read {
-            self.classify(a, true);
-        }
-        if let Some(a) = event.mem_write {
-            // Stores retire through a write buffer; they still access the
-            // caches (state + stats) but charge no latency.
-            self.classify(a, false);
+            self.classify(a);
         }
         let nlanes = self.lanes.len();
         // Zipped iterators over the SoA columns keep the per-instruction
@@ -321,6 +328,12 @@ impl Observer for BatchedPipelineSim {
             *last = complete;
             *max = (*max).max(complete);
         }
+        if let Some(a) = event.mem_write {
+            // Stores retire through a write buffer: they update cache state
+            // and stats but charge no latency, so the access can follow the
+            // lane loop (after this instruction's read, as in the oracle).
+            self.classify(a);
+        }
     }
 
     fn on_branch(&mut self, _site: InstSite, site_id: u32, taken: bool) {
@@ -339,15 +352,11 @@ impl Observer for BatchedPipelineSim {
     }
 }
 
-/// The design discussion's name for the batched model: it is "just" an
-/// observer over the unmodified dispatch loop.
-pub type BatchedObserver = BatchedPipelineSim;
-
-/// [`crate::pipeline::simulate_image`] over many configs at once: one
-/// functional execution, one [`PipelineResult`] per config, each
-/// bit-identical to what the scalar call would return (differential-suite
-/// proven).  Like the scalar path, the batched model is a heavyweight
-/// observer, so the image's **unfused twin** is executed when present.
+/// Times `image` under every config with one functional execution: one
+/// [`PipelineResult`] per config, in order, each bit-identical to the
+/// scalar oracle's (differential-suite proven).  The batched model is a
+/// heavyweight observer, so the image's **unfused twin** is executed when
+/// present (PERF.md §PR-3/§PR-5 measure why).
 pub fn simulate_image_batch(image: &ExecImage, configs: &[PipelineConfig]) -> Vec<PipelineResult> {
     if configs.is_empty() {
         return Vec::new();
@@ -362,7 +371,7 @@ pub fn simulate_image_batch(image: &ExecImage, configs: &[PipelineConfig]) -> Ve
 mod tests {
     use super::*;
     use crate::machine::MachineConfig;
-    use crate::pipeline::simulate_image;
+    use crate::pipeline::PipelineSim;
     use bsg_ir::program::{Function, Global, Program};
     use bsg_ir::types::Ty;
     use bsg_ir::visa::{Address, BinOp, Inst, Operand, Terminator};
@@ -441,15 +450,29 @@ mod tests {
         p
     }
 
+    /// The scalar oracle's result for one config.
+    fn oracle(image: &ExecImage, config: PipelineConfig) -> PipelineResult {
+        let mut sim = PipelineSim::from_image(config, image);
+        execute_image(image, &mut sim, &ExecConfig::default());
+        sim.result()
+    }
+
     #[test]
-    fn batched_lanes_equal_scalar_results_on_table3() {
+    fn batched_lanes_equal_the_oracle_on_table3_and_fig10() {
         let image = ExecImage::new(&mixed_loop(4000, 7));
-        let configs: Vec<PipelineConfig> =
-            MachineConfig::table3().iter().map(|m| m.pipeline).collect();
+        let configs: Vec<PipelineConfig> = MachineConfig::table3()
+            .iter()
+            .map(|m| m.pipeline)
+            .chain([8, 16, 32].map(PipelineConfig::ptlsim_2wide))
+            .collect();
         let batched = simulate_image_batch(&image, &configs);
         for (c, b) in configs.iter().zip(&batched) {
-            let scalar = simulate_image(&image, *c);
-            assert_eq!(*b, scalar, "lane diverged for {c:?}");
+            assert_eq!(*b, oracle(&image, *c), "lane diverged for {c:?}");
+            assert_eq!(
+                crate::pipeline::simulate_image(&image, *c),
+                *b,
+                "one-lane batch diverged for {c:?}"
+            );
         }
     }
 
@@ -461,7 +484,7 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r[0], r[1]);
         assert_eq!(r[1], r[2]);
-        assert_eq!(r[0], simulate_image(&image, cfg));
+        assert_eq!(r[0], oracle(&image, cfg));
     }
 
     #[test]
@@ -471,14 +494,16 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_matches_run_image_per_machine() {
+    fn run_batch_matches_the_oracle_per_machine() {
         let image = ExecImage::new(&mixed_loop(2000, 5));
         let machines = MachineConfig::table3_extended();
         let batched = MachineConfig::run_batch(&machines, &image);
         assert_eq!(batched.len(), machines.len());
         for (m, b) in machines.iter().zip(&batched) {
-            let scalar = m.run_image(&image);
-            assert_eq!(b, &scalar, "machine {} diverged", m.name);
+            let timing = oracle(&image, m.pipeline);
+            assert_eq!(b.timing, timing, "machine {} diverged", m.name);
+            assert_eq!(b.time_ns, timing.cycles as f64 / m.freq_ghz);
+            assert_eq!(&m.run_image(&image), b, "machine {} run_image", m.name);
         }
     }
 }

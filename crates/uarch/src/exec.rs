@@ -322,49 +322,6 @@ pub fn execute_image<O: Observer + ?Sized>(
     }
 }
 
-/// Executes a program and also runs a secondary observer (convenience for the
-/// experiment harness, which frequently pairs a profiler with a cache model).
-pub fn execute_pair(
-    program: &Program,
-    first: &mut dyn Observer,
-    second: &mut dyn Observer,
-    config: &ExecConfig,
-) -> ExecOutcome {
-    let mut both = PairObserver { first, second };
-    execute(program, &mut both, config)
-}
-
-/// Fans every event out to two observers.
-pub struct PairObserver<'a> {
-    /// First observer.
-    pub first: &'a mut dyn Observer,
-    /// Second observer.
-    pub second: &'a mut dyn Observer,
-}
-
-impl Observer for PairObserver<'_> {
-    fn on_inst(&mut self, event: &InstEvent) {
-        self.first.on_inst(event);
-        self.second.on_inst(event);
-    }
-    fn on_block(&mut self, func: FuncId, block: BlockId, block_idx: u32) {
-        self.first.on_block(func, block, block_idx);
-        self.second.on_block(func, block, block_idx);
-    }
-    fn on_edge(&mut self, func: FuncId, from: BlockId, to: BlockId, edge_idx: u32) {
-        self.first.on_edge(func, from, to, edge_idx);
-        self.second.on_edge(func, from, to, edge_idx);
-    }
-    fn on_branch(&mut self, site: InstSite, site_id: u32, taken: bool) {
-        self.first.on_branch(site, site_id, taken);
-        self.second.on_branch(site, site_id, taken);
-    }
-    fn on_call(&mut self, caller: FuncId, callee: FuncId) {
-        self.first.on_call(caller, callee);
-        self.second.on_call(caller, callee);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The unchecked indexing core
 // ---------------------------------------------------------------------------

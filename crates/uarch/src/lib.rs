@@ -12,14 +12,15 @@
 //! * [`cache`] — set-associative LRU cache simulation, including the
 //!   single-pass multi-configuration sweep used for Figures 7, 8 and 10.
 //! * [`branch`] — bimodal, gshare and hybrid branch predictors (Figure 9).
-//! * [`pipeline`] — dependence-driven out-of-order and in-order (EPIC)
-//!   timing models producing CPI (Figure 10).
+//! * [`pipeline`] — configs and results of the dependence-driven
+//!   out-of-order and in-order (EPIC) timing models producing CPI
+//!   (Figure 10), plus the scalar model kept as the test oracle.
 //! * [`machine`] — the five Table III machine models used to reproduce the
 //!   cross-architecture, cross-compiler execution-time trends of Figure 11.
-//! * [`batch`] — batched multi-config simulation: one functional execution
-//!   drives every machine config's timing state at once (the machine-axis
-//!   sweeps pay for one interpreter pass instead of N), bit-identical per
-//!   lane to the scalar [`pipeline`] model.
+//! * [`batch`] — the production timing model: one functional execution
+//!   drives every config's timing state at once (Figure 10's cache sizes
+//!   and Figure 11's machines each pay for one interpreter pass, not N),
+//!   bit-identical per lane to the scalar oracle in [`pipeline`].
 //!
 //! # Example
 //!
@@ -68,7 +69,7 @@ pub mod pipeline;
 mod typing;
 pub mod verify;
 
-pub use batch::{simulate_image_batch, BatchedObserver, BatchedPipelineSim};
+pub use batch::{simulate_image_batch, BatchedPipelineSim};
 pub use branch::{Bimodal, BranchStats, GShare, Hybrid, Predictor};
 pub use cache::{Cache, CacheConfig, CacheStats, CacheSweep};
 pub use cancel::CancelToken;
@@ -78,7 +79,5 @@ pub use exec::{
 };
 pub use image::{ExecImage, SiteMeta};
 pub use machine::{MachineConfig, MachineIsa, MachineResult};
-pub use pipeline::{
-    simulate, simulate_image, PipelineConfig, PipelineResult, PipelineSim, ReferencePipelineSim,
-};
+pub use pipeline::{simulate, simulate_image, PipelineConfig, PipelineResult};
 pub use verify::{verify_image, VerifyError, VerifyReport};

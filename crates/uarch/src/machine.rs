@@ -128,21 +128,17 @@ impl MachineConfig {
         self.result_of(timing)
     }
 
-    /// [`run`](Self::run) over a prebuilt [`ExecImage`] (amortizes predecode
-    /// when the same compiled artifact is timed on several machines).
-    ///
-    /// The pipeline model is a heavyweight observer, so `simulate_image`
-    /// automatically runs the image's unfused twin — callers keep handing
-    /// over the store's (fused) image and the right dispatch loop is chosen
-    /// here, not at every call site.
+    /// [`run`](Self::run) over a prebuilt [`ExecImage`]: a one-machine
+    /// [`run_batch`](Self::run_batch).  Like every timing run it executes
+    /// the image's unfused twin, so callers hand over the store's (fused)
+    /// image unchanged.
     pub fn run_image(&self, image: &ExecImage) -> MachineResult {
         self.result_of(simulate_image(image, self.pipeline))
     }
 
     /// Times one compiled image on **many** machine models with a single
-    /// functional execution ([`simulate_image_batch`]): each element is
-    /// bit-identical to the corresponding [`run_image`](Self::run_image)
-    /// call, at roughly the cost of one.  Callers group machines by ISA
+    /// functional execution ([`simulate_image_batch`]), in roster order, at
+    /// roughly the cost of one.  Callers group machines by ISA
     /// themselves — every machine in the batch times the *same* image, so
     /// the grouping decision (which machines may legally share a binary)
     /// stays with the layer that compiles.

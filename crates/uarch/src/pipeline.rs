@@ -8,16 +8,21 @@
 //! cache misses and branch mispredictions.  They are first-order models in
 //! the spirit of interval analysis, not cycle-by-cycle simulators — which is
 //! all the paper's original-vs-synthetic comparisons require.
+//!
+//! The production model is the batched one in [`crate::batch`]:
+//! [`simulate_image`] is a one-config batch.  This module defines the
+//! configuration and result types, the per-class latencies both models
+//! share, and [`PipelineSim`], the scalar model kept only as the batched
+//! model's independent test oracle.
 
 use crate::branch::{BranchStats, Hybrid, Predictor};
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::exec::{InstEvent, InstSite, Observer};
 use crate::image::ExecImage;
-use bsg_ir::types::{FuncId, Reg};
-use bsg_ir::visa::{Inst, InstClass, Terminator};
+use bsg_ir::types::Reg;
+use bsg_ir::visa::InstClass;
 use bsg_ir::Program;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Configuration of a pipeline timing model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -136,7 +141,7 @@ impl PipelineResult {
 /// [`ExecImage`] so the timing model does one array index per dynamic
 /// instruction (no hashing, no allocation).  Shared with the batched
 /// multi-config model in [`crate::batch`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct SiteInfo {
     pub(crate) def: Option<Reg>,
     pub(crate) uses: [Option<Reg>; 3],
@@ -158,8 +163,13 @@ pub(crate) fn base_latency(class: InstClass) -> u64 {
     }
 }
 
-/// The pipeline timing model; implement [`Observer`] and feed it to
-/// [`crate::exec::execute`].
+/// The scalar pipeline timing model: one config, one [`Observer`].
+///
+/// This is the **test oracle** for
+/// [`BatchedPipelineSim`](crate::batch::BatchedPipelineSim), written as the
+/// straight-line per-config step the batched model vectorizes.  The parity
+/// suites and `interp_bench` compare against it; no production path runs
+/// it.
 pub struct PipelineSim {
     config: PipelineConfig,
     /// Indexed by dense site id (the image's site table order).
@@ -181,13 +191,6 @@ pub struct PipelineSim {
 }
 
 impl PipelineSim {
-    /// Creates a timing model for `program` (register/def–use information is
-    /// precomputed from the program).  When an [`ExecImage`] is already at
-    /// hand, [`PipelineSim::from_image`] skips the predecode pass.
-    pub fn new(config: PipelineConfig, program: &Program) -> Self {
-        Self::from_image(config, &ExecImage::new(program))
-    }
-
     /// Creates a timing model from a predecoded image, reusing its site
     /// table for the per-instruction register information.
     pub fn from_image(config: PipelineConfig, image: &ExecImage) -> Self {
@@ -243,10 +246,9 @@ impl PipelineSim {
     }
 }
 
-impl PipelineSim {
-    /// Advances the timing model by one instruction with its predecoded
-    /// register information (shared by the dense and reference front ends).
-    fn step(&mut self, event: &InstEvent, info: SiteInfo) {
+impl Observer for PipelineSim {
+    fn on_inst(&mut self, event: &InstEvent) {
+        let info = self.info[event.site_id as usize];
         self.instructions += 1;
 
         // Issue-width constraint.
@@ -315,13 +317,6 @@ impl PipelineSim {
         self.last_complete = complete;
         self.max_complete = self.max_complete.max(complete);
     }
-}
-
-impl Observer for PipelineSim {
-    fn on_inst(&mut self, event: &InstEvent) {
-        let info = self.info[event.site_id as usize];
-        self.step(event, info);
-    }
 
     fn on_branch(&mut self, _site: InstSite, site_id: u32, taken: bool) {
         self.branch_stats.branches += 1;
@@ -341,124 +336,12 @@ pub fn simulate(program: &Program, config: PipelineConfig) -> PipelineResult {
     simulate_image(&ExecImage::new(program), config)
 }
 
-/// [`simulate`] over a prebuilt image (amortizes predecode across sweeps).
-///
-/// Observer-specialized dispatch: the timing model is a heavyweight observer,
-/// and with its callbacks inlined into the dispatch loop the fused arms cost
-/// more in i-cache pressure than they save in dispatch (PERF.md §PR-3/§PR-5
-/// measure the inversion), so the simulation runs the image's **unfused
-/// twin** when one is present.  Results are bit-identical either way — the
-/// twins share site tables and event streams (differential-suite proven) —
-/// so callers see only the speed difference.
+/// [`simulate`] over a prebuilt image (amortizes predecode across sweeps):
+/// the one-config case of
+/// [`simulate_image_batch`](crate::batch::simulate_image_batch), which runs
+/// the image's unfused twin.
 pub fn simulate_image(image: &ExecImage, config: PipelineConfig) -> PipelineResult {
-    let image = image.unfused_twin();
-    let mut sim = PipelineSim::from_image(config, image);
-    crate::exec::execute_image(image, &mut sim, &crate::exec::ExecConfig::default());
-    sim.result()
-}
-
-/// The pre-predecode pipeline timing model, kept as the measured baseline
-/// and differential-test reference: per-site register information lives in
-/// nested `HashMap`s probed by `(func, block, index)` on every dynamic
-/// instruction, exactly as the model worked before dense site ids existed.
-/// (Branch-predictor tables are keyed by dense site id here too — see
-/// PERF.md — so both models produce bit-identical results.)
-pub struct ReferencePipelineSim {
-    info: HashMap<FuncId, Vec<Vec<ReferenceSiteInfo>>>,
-    term_uses: HashMap<FuncId, Vec<Option<Reg>>>,
-    inner: PipelineSim,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct ReferenceSiteInfo {
-    def: Option<Reg>,
-    uses: [Option<Reg>; 3],
-}
-
-fn reference_site_info(inst: &Inst) -> ReferenceSiteInfo {
-    let mut info = ReferenceSiteInfo {
-        def: inst.def(),
-        uses: [None; 3],
-    };
-    for (i, u) in inst.uses().take(3).enumerate() {
-        info.uses[i] = Some(u);
-    }
-    info
-}
-
-impl ReferencePipelineSim {
-    /// Creates the reference model for `program`.
-    pub fn new(config: PipelineConfig, program: &Program) -> Self {
-        let mut info = HashMap::new();
-        let mut term_uses = HashMap::new();
-        let mut max_regs = 1;
-        for (fi, f) in program.functions.iter().enumerate() {
-            max_regs = max_regs.max(f.num_regs as usize);
-            let blocks: Vec<Vec<ReferenceSiteInfo>> = f
-                .blocks
-                .iter()
-                .map(|b| b.insts.iter().map(reference_site_info).collect())
-                .collect();
-            info.insert(FuncId(fi as u32), blocks);
-            let terms: Vec<Option<Reg>> = f
-                .blocks
-                .iter()
-                .map(|b| match &b.term {
-                    Terminator::Branch { cond, .. } => Some(*cond),
-                    _ => None,
-                })
-                .collect();
-            term_uses.insert(FuncId(fi as u32), terms);
-        }
-        let mut inner = PipelineSim::new(config, program);
-        inner.info.clear(); // the reference path supplies its own lookups
-        inner.reg_ready = vec![0; max_regs];
-        ReferencePipelineSim {
-            info,
-            term_uses,
-            inner,
-        }
-    }
-
-    fn lookup(&self, event: &InstEvent) -> SiteInfo {
-        if event.site.index == usize::MAX {
-            let cond = self
-                .term_uses
-                .get(&event.site.func)
-                .and_then(|v| v.get(event.site.block.index()))
-                .copied()
-                .flatten();
-            return SiteInfo {
-                def: None,
-                uses: [cond, None, None],
-            };
-        }
-        self.info
-            .get(&event.site.func)
-            .and_then(|blocks| blocks.get(event.site.block.index()))
-            .and_then(|insts| insts.get(event.site.index))
-            .map(|i| SiteInfo {
-                def: i.def,
-                uses: i.uses,
-            })
-            .unwrap_or_default()
-    }
-
-    /// The final timing result.
-    pub fn result(&self) -> PipelineResult {
-        self.inner.result()
-    }
-}
-
-impl Observer for ReferencePipelineSim {
-    fn on_inst(&mut self, event: &InstEvent) {
-        let info = self.lookup(event);
-        self.inner.step(event, info);
-    }
-
-    fn on_branch(&mut self, site: InstSite, site_id: u32, taken: bool) {
-        self.inner.on_branch(site, site_id, taken);
-    }
+    crate::batch::simulate_image_batch(image, &[config]).remove(0)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! observably identical to the legacy tree-walking interpreter: same
 //! [`ExecOutcome`], same event stream (instructions, blocks, edges, branches,
 //! calls, in the same order, with the same dense indices), and same
-//! [`PipelineResult`] when all three drive the timing model.
+//! pipeline result when all three drive the scalar oracle timing model.
 
 use bsg_ir::program::{Function, Global, Program};
 use bsg_ir::types::{BlockId, FuncId, Ty, Value};
@@ -11,7 +11,7 @@ use bsg_uarch::exec::{
     execute_image, execute_legacy, ExecConfig, ExecOutcome, InstEvent, InstSite, Observer,
 };
 use bsg_uarch::image::ExecImage;
-use bsg_uarch::pipeline::{PipelineConfig, PipelineSim, ReferencePipelineSim};
+use bsg_uarch::pipeline::{PipelineConfig, PipelineSim};
 
 /// Records every observer callback verbatim.
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -72,7 +72,7 @@ fn assert_identical(program: &Program, config: &ExecConfig) -> ExecOutcome {
 
     let mut fused_sim = PipelineSim::from_image(PipelineConfig::ptlsim_2wide(8), &fused_image);
     let mut unfused_sim = PipelineSim::from_image(PipelineConfig::ptlsim_2wide(8), &unfused_image);
-    let mut old_sim = ReferencePipelineSim::new(PipelineConfig::ptlsim_2wide(8), program);
+    let mut old_sim = PipelineSim::from_image(PipelineConfig::ptlsim_2wide(8), &fused_image);
     execute_image(&fused_image, &mut fused_sim, config);
     execute_image(&unfused_image, &mut unfused_sim, config);
     execute_legacy(program, &mut old_sim, config);

@@ -17,7 +17,7 @@ use bsg_ir::types::{BlockId, FuncId};
 use bsg_uarch::batch::BatchedPipelineSim;
 use bsg_uarch::exec::{execute_image, execute_legacy, ExecConfig, InstEvent, InstSite, Observer};
 use bsg_uarch::image::ExecImage;
-use bsg_uarch::pipeline::{PipelineConfig, PipelineSim, ReferencePipelineSim};
+use bsg_uarch::pipeline::{PipelineConfig, PipelineSim};
 use bsg_verify::gen::{o0_frame_program, Gen};
 use proptest::prelude::*;
 use rand::Rng;
@@ -87,7 +87,7 @@ fn check_identical(program: &Program, config: &ExecConfig) -> Result<(), String>
         }
     }
     let mut fused_sim = PipelineSim::from_image(PipelineConfig::ptlsim_2wide(8), &fused_image);
-    let mut old_sim = ReferencePipelineSim::new(PipelineConfig::ptlsim_2wide(8), program);
+    let mut old_sim = PipelineSim::from_image(PipelineConfig::ptlsim_2wide(8), &fused_image);
     execute_image(&fused_image, &mut fused_sim, config);
     execute_legacy(program, &mut old_sim, config);
     if fused_sim.result() != old_sim.result() {
