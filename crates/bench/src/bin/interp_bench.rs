@@ -5,7 +5,9 @@
 //! against the legacy `dyn`-dispatch tree-walking interpreter under three
 //! observer loads (none, the scalar oracle pipeline model `PipelineSim`,
 //! full statistical profiler), over the strided-loop microbenchmark plus
-//! the whole workload suite.
+//! the whole workload suite.  `profile_image` profiles a fused image through
+//! a fresh unfused decode, so `profile/fused` includes that decode and
+//! measures what the artifact store's profile builds pay.
 //!
 //! Pass `--large` to run the large-input suite (feasible now that compiled
 //! programs and predecoded images come out of the artifact store).  Pass
@@ -13,7 +15,8 @@
 //! `NullObserver` speedup over the legacy engine drops below `x` — CI uses
 //! this as a throughput-regression tripwire.  Pass `--machine-axis` to also
 //! time the Table III machine sweep both ways — one scalar oracle run per
-//! machine versus one batched `simulate_image_batch` execution — after
+//! machine on the unfused image versus one batched `simulate_image_batch`
+//! execution on the fused image, as the figures run it — after
 //! asserting per-lane bit-parity between the two; `--assert-batched-speedup
 //! <x>` (implies `--machine-axis`) fails the run when the batched sweep's
 //! speedup drops below `x`.  Pass `--workers N` to pin the scheduler width
@@ -326,22 +329,20 @@ fn main() {
     // --- Machine-axis sweep: scalar oracle per machine vs one batched ------
     // execution.  This is the unit of work a Figure 11 grid task performs
     // per (workload, level) cell: the full Table III roster over one image.
-    // Both sides run the unfused twin without a budget, as the figures do.
-    // Parity is asserted before anything is timed — a fast wrong answer is
-    // not a win.
+    // Both sides run without a budget, as the figures do: the oracle on the
+    // unfused image, the batched model on the store's fused image.  Parity
+    // is asserted before anything is timed — a fast wrong answer is not a
+    // win.
     let machine_axis_result: Option<(f64, f64, f64)> = machine_axis.then(|| {
         let machines = MachineConfig::table3();
         let configs: Vec<PipelineConfig> = machines.iter().map(|m| m.pipeline).collect();
-        let suite_images: Vec<&ExecImage> = compiled
-            .iter()
-            .map(|(_, art, _)| art.image.unfused_twin())
-            .collect();
         let unbounded = ExecConfig::default();
-        for image in &suite_images {
-            for (c, lane) in configs.iter().zip(simulate_image_batch(image, &configs)) {
+        for (_, art, unfused) in &compiled {
+            let lanes = simulate_image_batch(&art.image, &configs);
+            for (c, lane) in configs.iter().zip(lanes) {
                 assert_eq!(
                     lane,
-                    oracle(image, *c, &unbounded),
+                    oracle(unfused, *c, &unbounded),
                     "batched lane diverged from the scalar oracle"
                 );
             }
@@ -356,15 +357,15 @@ fn main() {
             best
         };
         let scalar_seconds = time_passes(&mut || {
-            for image in &suite_images {
+            for (_, _, unfused) in &compiled {
                 for c in &configs {
-                    std::hint::black_box(oracle(image, *c, &unbounded));
+                    std::hint::black_box(oracle(unfused, *c, &unbounded));
                 }
             }
         });
         let batched_seconds = time_passes(&mut || {
-            for image in &suite_images {
-                std::hint::black_box(simulate_image_batch(image, &configs));
+            for (_, art, _) in &compiled {
+                std::hint::black_box(simulate_image_batch(&art.image, &configs));
             }
         });
         let speedup = if batched_seconds > 0.0 {

@@ -4,13 +4,13 @@
 //! contract is **bit-parity** with the scalar oracle
 //! [`PipelineSim`]: each lane of [`simulate_image_batch`] — and each
 //! one-config [`simulate_image`] — must equal the oracle's result exactly,
-//! for every workload in the registry, on both the fused image and its
-//! unfused twin, across the full extended machine roster plus Figure 10's
-//! three cache sizes (which exercises lane dedup, shared L1/L2 state and
-//! the in-order model).  On top of raw lane parity, Figure 11 text is
-//! byte-identical at any worker count, and the static verifier is
-//! observer-agnostic — running an image under [`BatchedPipelineSim`]
-//! changes nothing the twin/replay passes look at.
+//! for every workload in the registry, on both the fused image and the
+//! unfused decode of the same program, across the full extended machine
+//! roster plus Figure 10's three cache sizes (which exercises lane dedup,
+//! shared L1/L2 state and the in-order model).  On top of raw lane parity,
+//! Figure 11 text is byte-identical at any worker count, and the static
+//! verifier is observer-agnostic — running an image under the batched model
+//! changes nothing the reference/replay passes look at.
 //!
 //! Tier-1 covers the small-input half of the registry (18 workloads); the
 //! tier-2 job (`BSG_LARGE_TESTS=1`) extends the same sweep to the large
@@ -19,7 +19,7 @@
 use bsg_bench::{fig11, WorkloadArtifacts};
 use bsg_compiler::{CompileOptions, OptLevel};
 use bsg_runtime::{with_workers, ArtifactStore};
-use bsg_uarch::batch::{simulate_image_batch, BatchedPipelineSim};
+use bsg_uarch::batch::simulate_image_batch;
 use bsg_uarch::exec::{execute_image, ExecConfig};
 use bsg_uarch::image::ExecImage;
 use bsg_uarch::machine::MachineConfig;
@@ -51,9 +51,8 @@ fn oracle(image: &ExecImage, config: PipelineConfig) -> PipelineResult {
     sim.result()
 }
 
-/// Per-lane bit-equality with the oracle over the whole registry: through
-/// the public entry points (which run the unfused twin), and with the
-/// batched observer driven explicitly over the fused twin's stream.
+/// Per-lane bit-equality with the oracle over the whole registry, through
+/// the public entry points on the fused image and on the unfused decode.
 #[test]
 fn batched_lanes_equal_the_scalar_oracle_across_the_registry() {
     let configs: Vec<PipelineConfig> = roster_configs()
@@ -65,17 +64,16 @@ fn batched_lanes_equal_the_scalar_oracle_across_the_registry() {
             ArtifactStore::global().compiled(&w.program, &CompileOptions::portable(OptLevel::O0));
         let expected: Vec<PipelineResult> =
             configs.iter().map(|c| oracle(&art.image, *c)).collect();
-        let mut sim = BatchedPipelineSim::from_image(&configs, &art.image);
-        execute_image(&art.image, &mut sim, &ExecConfig::default());
-        let fused = sim.results();
         let batched = simulate_image_batch(&art.image, &configs);
+        let unfused = simulate_image_batch(&ExecImage::unfused(&art.program), &configs);
         assert_eq!(batched.len(), configs.len());
+        assert_eq!(unfused.len(), configs.len());
         for (i, c) in configs.iter().enumerate() {
             let name = &w.name;
             assert_eq!(batched[i], expected[i], "{name}: lane {c:?} diverged");
             assert_eq!(
-                fused[i], expected[i],
-                "{name}: fused-twin lane {c:?} diverged"
+                unfused[i], expected[i],
+                "{name}: unfused-image lane {c:?} diverged"
             );
             assert_eq!(
                 simulate_image(&art.image, *c),
@@ -86,7 +84,7 @@ fn batched_lanes_equal_the_scalar_oracle_across_the_registry() {
     }
 }
 
-/// The verifier's twin/replay passes are observer-agnostic: an image that
+/// The verifier's reference/replay passes are observer-agnostic: an image that
 /// verifies clean still verifies clean (with the identical report) after
 /// being executed under the batched observer, which borrows it immutably
 /// like every other observer run.
@@ -100,10 +98,11 @@ fn verifier_accepts_images_executed_under_the_batched_observer() {
     {
         let art =
             ArtifactStore::global().compiled(&w.program, &CompileOptions::portable(OptLevel::O0));
-        let before = verify_image(&art.image)
+        let reference = ExecImage::unfused(&art.program);
+        let before = verify_image(&art.image, &reference)
             .unwrap_or_else(|e| panic!("{}: image must verify before simulation: {e}", w.name));
         let _ = simulate_image_batch(&art.image, &configs);
-        let after = verify_image(&art.image).unwrap_or_else(|e| {
+        let after = verify_image(&art.image, &reference).unwrap_or_else(|e| {
             panic!(
                 "{}: image must verify after batched simulation: {e}",
                 w.name

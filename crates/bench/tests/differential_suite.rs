@@ -5,7 +5,7 @@
 //! predecoded engine must equal the scalar oracle on the legacy engine.
 
 use bsg_compiler::{compile, CompileOptions, OptLevel, TargetIsa};
-use bsg_profile::{profile_program, profile_program_reference, ProfileConfig};
+use bsg_profile::{profile_image, profile_program, profile_program_reference, ProfileConfig};
 use bsg_uarch::exec::{execute, execute_dyn, execute_legacy, ExecConfig, NullObserver};
 use bsg_uarch::image::ExecImage;
 use bsg_uarch::pipeline::{simulate_image, PipelineConfig, PipelineSim};
@@ -78,6 +78,26 @@ fn statistical_profiles_match_across_the_suite() {
         assert_eq!(new.memory, old.memory, "{} memory profiles diverge", w.name);
         assert_eq!(new.mix, old.mix, "{} mixes diverge", w.name);
         assert_eq!(new, old, "{} profiles diverge", w.name);
+    }
+}
+
+/// `profile_image` decides from the image which form to profile: handed the
+/// store's fused image or the unfused decode, it returns the same profile,
+/// and both equal the legacy reference stack's.
+#[test]
+fn profile_image_is_the_same_on_fused_and_unfused_images() {
+    let config = ProfileConfig::default();
+    for w in suite(InputSize::Small) {
+        let compiled = compile(&w.program, &CompileOptions::portable(OptLevel::O0)).unwrap();
+        let program = &compiled.program;
+        let fused_image = ExecImage::new(program);
+        assert!(fused_image.num_fused() > 0, "{}: nothing fused", w.name);
+        let fused = profile_image(program, &fused_image, &w.name, &config);
+        let unfused = profile_image(program, &ExecImage::unfused(program), &w.name, &config);
+        let reference = profile_program_reference(program, &w.name, &config);
+        let name = &w.name;
+        assert_eq!(fused, unfused, "{name}: fused vs unfused image profiles");
+        assert_eq!(unfused, reference, "{name}: image vs reference profiles");
     }
 }
 

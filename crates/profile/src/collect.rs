@@ -354,24 +354,27 @@ pub fn profile_program(
     name: &str,
     config: &ProfileConfig,
 ) -> StatisticalProfile {
-    profile_image(program, &ExecImage::new(program), name, config)
+    profile_image(program, &ExecImage::unfused(program), name, config)
 }
 
-/// [`profile_program`] over a prebuilt [`ExecImage`] of `program`, so callers
-/// holding a cached image (the artifact store) skip the predecode pass.
+/// [`profile_program`] over a prebuilt [`ExecImage`] of `program`, fused or
+/// not (the artifact store hands over its fused image).
 ///
-/// Observer-specialized dispatch: the collector is a heavyweight observer —
-/// inlined into the dispatch loop, the fused superinstruction arms cost more
-/// in i-cache pressure than they save in dispatch (PERF.md measures the
-/// profiler *faster* on unfused images) — so profiling runs the image's
-/// unfused twin when one is present.  Profiles are bit-identical either way.
+/// The collector runs on an unfused image: inlined into the dispatch loop,
+/// the fused superinstruction arms cost it more in i-cache pressure than
+/// they save in dispatch (PERF.md §PR-14 measures the difference; it
+/// dwarfs the cost of a decode).  So a fused `image` is profiled through a
+/// fresh [`ExecImage::unfused`] decode of `program`.  Profiles are
+/// bit-identical either way.
 pub fn profile_image(
     program: &Program,
     image: &ExecImage,
     name: &str,
     config: &ProfileConfig,
 ) -> StatisticalProfile {
-    let image = image.unfused_twin();
+    if image.num_fused() > 0 {
+        return profile_image(program, &ExecImage::unfused(program), name, config);
+    }
     let mut collector = Collector::new(program, image, config);
     let outcome = execute_image(
         image,

@@ -354,14 +354,12 @@ impl Observer for BatchedPipelineSim {
 
 /// Times `image` under every config with one functional execution: one
 /// [`PipelineResult`] per config, in order, each bit-identical to the
-/// scalar oracle's (differential-suite proven).  The batched model is a
-/// heavyweight observer, so the image's **unfused twin** is executed when
-/// present (PERF.md §PR-3/§PR-5 measure why).
+/// scalar oracle's (differential-suite proven).  Runs the image it is
+/// given, fused or not; the results are identical either way.
 pub fn simulate_image_batch(image: &ExecImage, configs: &[PipelineConfig]) -> Vec<PipelineResult> {
     if configs.is_empty() {
         return Vec::new();
     }
-    let image = image.unfused_twin();
     let mut sim = BatchedPipelineSim::from_image(configs, image);
     execute_image(image, &mut sim, &ExecConfig::default());
     sim.results()

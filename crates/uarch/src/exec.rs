@@ -39,12 +39,14 @@
 //! # Safety of the unchecked indexing core
 //!
 //! The engine's hot loop indexes its flat tables through two helpers,
-//! [`at`] and [`at_mut`] — the only `unsafe` code in the workspace.  In
+//! [`at`] and [`at_mut`] — two of the workspace's three `unsafe` ledger
+//! sites (the third is `bsg-server`'s signal-handler registration).  In
 //! default builds they compile to `get_unchecked(_mut)` guarded by
 //! `debug_assert!`; compiling with `--cfg bsg_safe_core` (a CI job does)
 //! restores fully bounds-checked indexing with no other change.  The
 //! invariants that make the unchecked form sound are established **once per
-//! image** by `image::validate` plus the image builder itself:
+//! image** by `verify::validate_program` plus the image builder itself, and
+//! re-proved from the decoded image by `verify::verify_image`:
 //!
 //! * **Step/meta indices (`pc`)**: `steps` and `sites` are parallel arrays
 //!   with one entry per (instruction | terminator).  Every pc the loop can
@@ -84,12 +86,12 @@
 //!     is int-banked.
 //!   - Float-slot shapes — `LoadFF`/`StoreFF` and the fused
 //!     `LoadFFloatAlu`/`FloatAluStoreF`/`LoadFFAluStoreFF`/`LoadFPairF`/
-//!     `StoreFFJump`/`LoadFUnFF`/`UnFFStoreF`/`LoadFUnFFStoreFF`/
-//!     `FloatPairStoreF`: every addressed slot is float-banked (so
-//!     `slots_float` is sized) and every frame-load destination/frame-store
-//!     source register is float-banked; float slots additionally never
-//!     observe their missing zero-fill because the type analysis proved
-//!     every read is preceded by a store (`typing::frame_entry_live`).
+//!     `LoadFUnFFStoreFF`/`FloatPairStoreF`: every addressed slot is
+//!     float-banked (so `slots_float` is sized) and every frame-load
+//!     destination/frame-store source register is float-banked; float slots
+//!     additionally never observe their missing zero-fill because the type
+//!     analysis proved every read is preceded by a store
+//!     (`typing::frame_entry_live`).
 //!   - Register-only untagged shapes — `UnIF` (int source, float
 //!     destination), `FloatPair` (float banks throughout), `LoadGCmpBr`/
 //!     `LoadGFloatAlu`/`LoadFILoadG` global constituents (validated like
@@ -1133,22 +1135,6 @@ impl<'a> Engine<'a> {
                             halt_poll!();
                             continue;
                         }
-                        Step::IntPairJump { a, b, target } => {
-                            exec_int_alu(a, &mut frame.ints);
-                            emit_at!(pc, 0, None, None);
-                            halt_poll!();
-                            count_inst!();
-                            exec_int_alu(b, &mut frame.ints);
-                            emit_at!(pc, 1, None, None);
-                            // Absorbed Jump terminator at pc + 2: no event,
-                            // no budget charge, exactly like Step::Jump.
-                            let from = at(metas, pc + 2).site.block;
-                            observer.on_edge(func_id, from, target.block, target.edge_idx);
-                            observer.on_block(func_id, target.block, target.block_idx);
-                            pc = target.pc as usize;
-                            halt_poll!();
-                            continue;
-                        }
                         Step::IntAluJump { a, target } => {
                             exec_int_alu(a, &mut frame.ints);
                             emit_at!(pc, 0, None, None);
@@ -1534,68 +1520,6 @@ impl<'a> Engine<'a> {
                             observer.on_block(func_id, target.block, target.block_idx);
                             pc = target.pc as usize;
                             halt_poll!();
-                            continue;
-                        }
-                        Step::StoreFFJump { src, s, target } => {
-                            *at_mut(&mut frame.slots_float, s.slot as usize) =
-                                float_src(*src, frame);
-                            emit_at!(
-                                pc,
-                                0,
-                                None,
-                                Some(self.image.layout.frame_addr(depth, s.elem))
-                            );
-                            let from = at(metas, pc + 1).site.block;
-                            observer.on_edge(func_id, from, target.block, target.edge_idx);
-                            observer.on_block(func_id, target.block, target.block_idx);
-                            pc = target.pc as usize;
-                            halt_poll!();
-                            continue;
-                        }
-                        Step::LoadFUnFF {
-                            dst,
-                            s,
-                            op,
-                            udst,
-                            usrc,
-                        } => {
-                            *at_mut(&mut frame.floats, *dst as usize) =
-                                *at(&frame.slots_float, s.slot as usize);
-                            emit_at!(
-                                pc,
-                                0,
-                                Some(self.image.layout.frame_addr(depth, s.elem)),
-                                None
-                            );
-                            halt_poll!();
-                            count_inst!();
-                            let v = *at(&frame.floats, *usrc as usize);
-                            *at_mut(&mut frame.floats, *udst as usize) = un_ff(*op, v);
-                            emit_at!(pc, 1, None, None);
-                            pc += 2;
-                            continue;
-                        }
-                        Step::UnFFStoreF {
-                            op,
-                            udst,
-                            usrc,
-                            src,
-                            s,
-                        } => {
-                            let v = *at(&frame.floats, *usrc as usize);
-                            *at_mut(&mut frame.floats, *udst as usize) = un_ff(*op, v);
-                            emit_at!(pc, 0, None, None);
-                            halt_poll!();
-                            count_inst!();
-                            *at_mut(&mut frame.slots_float, s.slot as usize) =
-                                float_src(*src, frame);
-                            emit_at!(
-                                pc,
-                                1,
-                                None,
-                                Some(self.image.layout.frame_addr(depth, s.elem))
-                            );
-                            pc += 2;
                             continue;
                         }
                         Step::LoadFUnFFStoreFF {

@@ -244,16 +244,6 @@ pub(crate) enum Step {
         /// Jump target.
         target: EdgeTarget,
     },
-    /// Fused triple: two integer ALUs + the block's unconditional jump
-    /// (accumulate + induction-step + latch, the classic loop-body tail).
-    IntPairJump {
-        /// First ALU constituent (at this step's site).
-        a: IntAlu,
-        /// Second ALU constituent (at site `pc + 1`).
-        b: IntAlu,
-        /// Jump target (terminator at site `pc + 2`).
-        target: EdgeTarget,
-    },
     /// Fused untagged global load + integer ALU.
     LoadGIntAlu {
         /// Load destination (int bank).
@@ -450,41 +440,6 @@ pub(crate) enum Step {
         s: FrameSlot,
         /// Jump target (terminator at site `pc + 1`).
         target: EdgeTarget,
-    },
-    /// Float counterpart of [`Step::StoreFIJump`].
-    StoreFFJump {
-        /// Stored operand (float-provable).
-        src: FloatSrc,
-        /// Stored slot (float bank).
-        s: FrameSlot,
-        /// Jump target (terminator at site `pc + 1`).
-        target: EdgeTarget,
-    },
-    /// Fused float frame load + float unary.
-    LoadFUnFF {
-        /// Load destination (float bank).
-        dst: u32,
-        /// Loaded slot (float bank).
-        s: FrameSlot,
-        /// Unary operation (the `un_ff` subset; at site `pc + 1`).
-        op: UnOp,
-        /// Unary destination (float bank).
-        udst: u32,
-        /// Unary source (float bank).
-        usrc: u32,
-    },
-    /// Fused float unary + float frame store.
-    UnFFStoreF {
-        /// Unary operation (the `un_ff` subset).
-        op: UnOp,
-        /// Unary destination (float bank).
-        udst: u32,
-        /// Unary source (float bank).
-        usrc: u32,
-        /// Stored operand (float-provable; store at site `pc + 1`).
-        src: FloatSrc,
-        /// Stored slot (float bank).
-        s: FrameSlot,
     },
     /// Fused triple: float frame load + float unary + float frame store —
     /// `y = f(x)` over float `-O0` locals (`cr = cos(ang)` and friends).
@@ -731,7 +686,6 @@ impl Step {
             Step::IntPair(..) => "IntPair",
             Step::IntCmpBr { .. } => "IntCmpBr",
             Step::IntAluJump { .. } => "IntAluJump",
-            Step::IntPairJump { .. } => "IntPairJump",
             Step::LoadGIntAlu { .. } => "LoadGIntAlu",
             Step::IntAluLoadG { .. } => "IntAluLoadG",
             Step::LoadFIntAlu { .. } => "LoadFIntAlu",
@@ -750,9 +704,6 @@ impl Step {
             Step::LoadFPairF { .. } => "LoadFPairF",
             Step::LoadFCmpBr { .. } => "LoadFCmpBr",
             Step::StoreFIJump { .. } => "StoreFIJump",
-            Step::StoreFFJump { .. } => "StoreFFJump",
-            Step::LoadFUnFF { .. } => "LoadFUnFF",
-            Step::UnFFStoreF { .. } => "UnFFStoreF",
             Step::LoadFUnFFStoreFF { .. } => "LoadFUnFFStoreFF",
             Step::LoadFFAluStoreFF { .. } => "LoadFFAluStoreFF",
             Step::FloatAlu(_) => "FloatAlu",
@@ -797,8 +748,6 @@ impl Step {
             | Step::IntAluStoreF { .. }
             | Step::LoadFPairI { .. }
             | Step::LoadFPairF { .. }
-            | Step::LoadFUnFF { .. }
-            | Step::UnFFStoreF { .. }
             | Step::LoadFFloatAlu { .. }
             | Step::FloatAluStoreF { .. }
             | Step::FloatPair(..)
@@ -812,11 +761,9 @@ impl Step {
             | Step::LoadFUnFFStoreFF { .. } => Some(3),
             Step::IntCmpBr { .. }
             | Step::IntAluJump { .. }
-            | Step::IntPairJump { .. }
             | Step::LoadFCmpBr { .. }
             | Step::LoadGCmpBr { .. }
-            | Step::StoreFIJump { .. }
-            | Step::StoreFFJump { .. } => None,
+            | Step::StoreFIJump { .. } => None,
             _ => Some(1),
         }
     }
@@ -920,13 +867,6 @@ pub struct ExecImage {
     max_regs: u32,
     /// Number of fused superinstructions (diagnostics / tests).
     fused_steps: u32,
-    /// The unfused twin of a fused image (built alongside it by
-    /// [`ExecImage::new`]).  Heavyweight observers (pipeline model, full
-    /// profiler) measurably *lose* to fusion — the fused arms enlarge the
-    /// monomorphized loop and i-cache pressure beats the dispatch savings —
-    /// so observer-specialized entry points ([`ExecImage::unfused_twin`])
-    /// run the twin while `NullObserver` keeps the fused fast loop.
-    pub(crate) unfused: Option<Box<ExecImage>>,
 }
 
 fn site_meta(inst: &Inst, site: InstSite) -> SiteMeta {
@@ -1002,52 +942,40 @@ fn fold_const(v: Value, dst: u32, bank: impl Fn(u32) -> RegBank) -> Option<Step>
 impl ExecImage {
     /// Flattens `program` into an execution image with superinstruction
     /// fusion enabled.  Call targets, block targets, register banks and
-    /// global layout are resolved here, once.  An unfused twin is kept
-    /// alongside (a clone taken before the in-place fusion pass, so
-    /// validation, type inference and decode run once) so heavyweight
-    /// observers can be dispatched to the image that is actually faster for
-    /// them — see [`ExecImage::unfused_twin`].
+    /// global layout are resolved here, once.  This is the image every
+    /// production entry point executes.
     pub fn new(program: &Program) -> Self {
         let mut image = Self::build(program);
-        let twin = image.clone();
+        // Checked builds keep the pre-fusion decode as the verifier's
+        // reference; release builds never copy.
+        #[cfg(any(debug_assertions, bsg_safe_core))]
+        let reference = image.clone();
         image.fused_steps = fuse_blocks(&mut image.steps, &image.funcs);
-        image.unfused = Some(Box::new(twin));
-        image.verify_on_build();
+        #[cfg(any(debug_assertions, bsg_safe_core))]
+        image.verify_on_build(&reference);
         image
     }
 
-    /// Flattens `program` without the fusion pass (used by differential
-    /// tests and the benchmark harness to isolate fusion's contribution).
+    /// Flattens `program` without the fusion pass: the verifier's reference
+    /// decode and the profiler's image (see `bsg_profile::profile_image`);
+    /// the differential tests run it alongside the fused image.
     pub fn unfused(program: &Program) -> Self {
         let image = Self::build(program);
-        image.verify_on_build();
+        #[cfg(any(debug_assertions, bsg_safe_core))]
+        image.verify_on_build(&image);
         image
     }
 
-    /// Under debug assertions or `--cfg bsg_safe_core`, runs the full static
-    /// verifier over a freshly decoded image, so every test and safe-core CI
-    /// run machine-checks the invariants the unchecked executor assumes.
-    /// Compiled out of release builds: verification is decode-time-only and
-    /// never touches the execute loop either way.
-    #[cfg_attr(not(any(debug_assertions, bsg_safe_core)), allow(dead_code))]
-    fn verify_on_build(&self) {
-        #[cfg(any(debug_assertions, bsg_safe_core))]
-        if let Err(e) = crate::verify::verify_image(self) {
+    /// Runs the full static verifier over a freshly decoded image, so every
+    /// test and safe-core CI run machine-checks the invariants the unchecked
+    /// executor assumes.  Only compiled under debug assertions or
+    /// `--cfg bsg_safe_core`: verification is decode-time-only and never
+    /// touches the execute loop either way.
+    #[cfg(any(debug_assertions, bsg_safe_core))]
+    fn verify_on_build(&self, reference: &ExecImage) {
+        if let Err(e) = crate::verify::verify_image(self, reference) {
             panic!("bsg-verify rejected freshly decoded image: {e}");
         }
-    }
-
-    /// The image heavyweight observers should execute: the unfused twin when
-    /// present, else this image itself.  PERF.md §PR-3 documents the
-    /// inversion this encodes: with a pipeline model or the full profiler
-    /// inlined into the dispatch loop, fusion's larger loop body costs more
-    /// in i-cache pressure than it saves in dispatch, so `simulate_image` /
-    /// `profile_image` select the unfused form automatically while
-    /// `NullObserver` callers keep the fused fast loop.  Site tables, dense
-    /// indices and observable behaviour are identical between the twins (the
-    /// differential suites prove it), so the choice is invisible to results.
-    pub fn unfused_twin(&self) -> &ExecImage {
-        self.unfused.as_deref().unwrap_or(self)
     }
 
     /// Flattens without fusing; [`ExecImage::new`] fuses in place after.
@@ -1508,7 +1436,6 @@ impl ExecImage {
             global_bounds,
             max_regs,
             fused_steps: 0,
-            unfused: None,
         }
     }
 
@@ -1681,11 +1608,6 @@ fn fuse_blocks(steps: &mut [Step], funcs: &[FuncImage]) -> u32 {
                             s: *s,
                             target: *target,
                         }),
-                        (Step::StoreFF { src, s }, Step::Jump(target)) => Some(Step::StoreFFJump {
-                            src: *src,
-                            s: *s,
-                            target: *target,
-                        }),
                         _ => None,
                     };
                     if let Some(r) = replacement {
@@ -1697,13 +1619,6 @@ fn fuse_blocks(steps: &mut [Step], funcs: &[FuncImage]) -> u32 {
                 // Last-two body steps + terminator: three-way fusions.
                 if i + 2 == term {
                     let replacement = match (&steps[i], &steps[i + 1], &steps[term]) {
-                        (Step::IntAlu(a), Step::IntAlu(b), Step::Jump(t)) => {
-                            Some(Step::IntPairJump {
-                                a: *a,
-                                b: *b,
-                                target: *t,
-                            })
-                        }
                         // The -O0 while-header: reload the induction
                         // variable, compare, branch.
                         (
@@ -1895,34 +1810,6 @@ fn fuse_blocks(steps: &mut [Step], funcs: &[FuncImage]) -> u32 {
                             s2: *s2,
                         })
                     }
-                    (
-                        Step::LoadFF { dst, s },
-                        Step::UnFF {
-                            op,
-                            dst: udst,
-                            src: usrc,
-                        },
-                    ) => Some(Step::LoadFUnFF {
-                        dst: *dst,
-                        s: *s,
-                        op: *op,
-                        udst: *udst,
-                        usrc: *usrc,
-                    }),
-                    (
-                        Step::UnFF {
-                            op,
-                            dst: udst,
-                            src: usrc,
-                        },
-                        Step::StoreFF { src, s },
-                    ) => Some(Step::UnFFStoreF {
-                        op: *op,
-                        udst: *udst,
-                        usrc: *usrc,
-                        src: *src,
-                        s: *s,
-                    }),
                     (
                         Step::IntAlu(a),
                         Step::LoadGlobal {

@@ -129,9 +129,7 @@ impl MachineConfig {
     }
 
     /// [`run`](Self::run) over a prebuilt [`ExecImage`]: a one-machine
-    /// [`run_batch`](Self::run_batch).  Like every timing run it executes
-    /// the image's unfused twin, so callers hand over the store's (fused)
-    /// image unchanged.
+    /// [`run_batch`](Self::run_batch).
     pub fn run_image(&self, image: &ExecImage) -> MachineResult {
         self.result_of(simulate_image(image, self.pipeline))
     }

@@ -338,8 +338,7 @@ pub fn simulate(program: &Program, config: PipelineConfig) -> PipelineResult {
 
 /// [`simulate`] over a prebuilt image (amortizes predecode across sweeps):
 /// the one-config case of
-/// [`simulate_image_batch`](crate::batch::simulate_image_batch), which runs
-/// the image's unfused twin.
+/// [`simulate_image_batch`](crate::batch::simulate_image_batch).
 pub fn simulate_image(image: &ExecImage, config: PipelineConfig) -> PipelineResult {
     crate::batch::simulate_image_batch(image, &[config]).remove(0)
 }

@@ -15,8 +15,8 @@
 //! 1. **Structure** ([`invariant::STEP_STRUCTURE`]): the per-function block
 //!    tables partition the step array, dense block indices are consistent
 //!    with the image-wide tables, bank tables have the lengths the executor
-//!    sizes its banks to, and a fused image's unfused twin agrees on every
-//!    table the two share.
+//!    sizes its banks to, and a fused image agrees with its reference (the
+//!    unfused decode of the same program) on every table the two share.
 //! 2. **Per-step bounds and banks** ([`invariant::REG_BOUNDS`],
 //!    [`invariant::REG_BANK`], [`invariant::GLOBAL_BOUNDS`],
 //!    [`invariant::FRAME_SLOT_BOUNDS`], [`invariant::FRAME_SLOT_BANK`],
@@ -28,7 +28,7 @@
 //!    [`invariant::TERMINATOR_PLACEMENT`]): a symbolic walk of every block of
 //!    the fused image, decomposing each superinstruction into its constituent
 //!    steps and requiring them to be semantically identical (`f64` compared
-//!    bit-for-bit) to the unfused twin's steps at the same pcs.  Because the
+//!    bit-for-bit) to the reference's steps at the same pcs.  Because the
 //!    executor charges budget, checks halt and emits observer events *per
 //!    constituent*, decomposition equality is exactly the
 //!    budget-decrement/halt/event-replay equivalence of the fused arm and its
@@ -97,7 +97,7 @@ pub mod invariant {
     /// Call targets index the function table; argument ranges index the pool.
     pub const CALL_SITE: &str = "call-site";
     /// Every fused superinstruction decomposes into constituents semantically
-    /// identical to the unfused twin's steps (budget/halt/event replay).
+    /// identical to the reference decode's steps (budget/halt/event replay).
     pub const FUSED_REPLAY: &str = "fused-replay";
 }
 
@@ -151,11 +151,11 @@ impl std::error::Error for VerifyError {}
 /// Summary of a successful verification.
 #[derive(Debug, Clone, Copy)]
 pub struct VerifyReport {
-    /// Steps checked (fused image; the twin doubles this).
+    /// Steps checked (the image; a distinct reference doubles this).
     pub steps: usize,
     /// Functions checked.
     pub funcs: usize,
-    /// Fused superinstructions replayed against the twin.
+    /// Fused superinstructions replayed against the reference.
     pub fused: usize,
 }
 
@@ -275,36 +275,36 @@ pub(crate) fn validate_program(program: &Program) {
 }
 
 /// Statically proves every invariant the unchecked execution core assumes
-/// about `image` (see the module docs for the pass list).  Returns a summary
-/// on success; the first violated invariant otherwise.  Cost is linear-ish in
-/// image size (the dataflow fixpoint converges in a few sweeps) and is paid
-/// at decode/CI time only — never on the execute loop.
-pub fn verify_image(image: &ExecImage) -> Result<VerifyReport, VerifyError> {
-    let base = image.unfused_twin();
-    let has_twin = !std::ptr::eq(image, base);
+/// about `image` (see the module docs for the pass list).  `reference` is the
+/// unfused decode of the same program ([`ExecImage::unfused`]); pass `image`
+/// itself when `image` is unfused.  Returns a summary on success; the first
+/// violated invariant otherwise.  Cost is linear-ish in image size (the
+/// dataflow fixpoint converges in a few sweeps) and is paid at decode/CI time
+/// only — never on the execute loop.
+pub fn verify_image(image: &ExecImage, reference: &ExecImage) -> Result<VerifyReport, VerifyError> {
+    let has_reference = !std::ptr::eq(image, reference);
 
     check_structure(image)?;
     let mut replayed = 0;
-    if has_twin {
-        check_structure(base)?;
-        check_twin_match(image, base)?;
-        check_shape(base, false)?;
+    if has_reference {
+        check_structure(reference)?;
+        check_reference_match(image, reference)?;
+        check_shape(reference, false)?;
         check_shape(image, true)?;
-        replayed = check_replay(image, base)?;
+        replayed = check_replay(image, reference)?;
     } else {
-        // An image without a twin must be entirely unfused: the executor's
-        // fused arms assume a twin exists for observer-specialized dispatch,
-        // and the replay proof needs it.
+        // An image verified against itself must be entirely unfused: the
+        // replay proof needs a reference to decompose fused steps against.
         check_shape(image, false)?;
     }
 
     let checker = StepChecker::new(image);
     checker.check_all()?;
-    if has_twin {
-        StepChecker::new(base).check_all()?;
+    if has_reference {
+        StepChecker::new(reference).check_all()?;
     }
 
-    check_dataflow(base)?;
+    check_dataflow(reference)?;
 
     // The replay walk independently counted the fused superinstructions it
     // proved; the image's own tally must agree (a drift here would mean the
@@ -531,20 +531,17 @@ fn operand_eq(a: &Operand, b: &Operand) -> bool {
     }
 }
 
-fn check_twin_match(img: &ExecImage, base: &ExecImage) -> Result<(), VerifyError> {
+fn check_reference_match(img: &ExecImage, base: &ExecImage) -> Result<(), VerifyError> {
     let e = |d: String| fail(invariant::STEP_STRUCTURE, None, None, d);
-    if !std::ptr::eq(base.unfused_twin(), base) {
-        return Err(e("unfused twin itself carries a twin".into()));
-    }
     if img.steps.len() != base.steps.len() {
         return Err(e(format!(
-            "fused image has {} steps, twin has {}",
+            "image has {} steps, reference has {}",
             img.steps.len(),
             base.steps.len()
         )));
     }
     if img.entry != base.entry || img.funcs.len() != base.funcs.len() {
-        return Err(e("entry/function tables differ between twins".into()));
+        return Err(e("entry/function tables differ from the reference".into()));
     }
     for (fi, (a, b)) in img.funcs.iter().zip(&base.funcs).enumerate() {
         if !func_image_eq(a, b) {
@@ -552,7 +549,7 @@ fn check_twin_match(img: &ExecImage, base: &ExecImage) -> Result<(), VerifyError
                 invariant::STEP_STRUCTURE,
                 Some(fi as u32),
                 None,
-                "function image differs between fused image and twin".into(),
+                "function image differs from the reference".into(),
             ));
         }
     }
@@ -561,7 +558,7 @@ fn check_twin_match(img: &ExecImage, base: &ExecImage) -> Result<(), VerifyError
         || img.layout.frame_base != base.layout.frame_base
         || img.layout.frame_stride != base.layout.frame_stride
     {
-        return Err(e("global layout differs between twins".into()));
+        return Err(e("global layout differs from the reference".into()));
     }
     if img.initial_globals.len() != base.initial_globals.len()
         || !img
@@ -570,7 +567,7 @@ fn check_twin_match(img: &ExecImage, base: &ExecImage) -> Result<(), VerifyError
             .zip(&base.initial_globals)
             .all(|(a, b)| value_eq(a, b))
     {
-        return Err(e("initial global values differ between twins".into()));
+        return Err(e("initial global values differ from the reference".into()));
     }
     if img.call_args.len() != base.call_args.len()
         || !img
@@ -579,7 +576,7 @@ fn check_twin_match(img: &ExecImage, base: &ExecImage) -> Result<(), VerifyError
             .zip(&base.call_args)
             .all(|(a, b)| operand_eq(a, b))
     {
-        return Err(e("call argument pools differ between twins".into()));
+        return Err(e("call argument pools differ from the reference".into()));
     }
     Ok(())
 }
@@ -624,7 +621,7 @@ fn check_shape(img: &ExecImage, fused_allowed: bool) -> Result<(), VerifyError> 
 }
 
 // ---------------------------------------------------------------------------
-// Pass 2: fused replay (decomposition + semantic equality with the twin).
+// Pass 2: fused replay (decomposition + semantic equality with the reference).
 // ---------------------------------------------------------------------------
 
 /// The constituent steps a fused superinstruction replays, in executed order,
@@ -632,7 +629,7 @@ fn check_shape(img: &ExecImage, fused_allowed: bool) -> Result<(), VerifyError> 
 /// non-fused steps.  This table is the executable specification of every
 /// fused arm: the executor charges budget, checks halt and emits observer
 /// events once per constituent, so proving the constituents identical to the
-/// unfused twin's steps proves the replay protocol equal.
+/// reference's steps proves the replay protocol equal.
 pub(crate) fn decompose(step: &Step) -> Option<(Vec<Step>, bool)> {
     let absorbs = step.footprint().is_none();
     let parts = match step {
@@ -652,9 +649,6 @@ pub(crate) fn decompose(step: &Step) -> Option<(Vec<Step>, bool)> {
             },
         ],
         Step::IntAluJump { a, target } => vec![Step::IntAlu(*a), Step::Jump(*target)],
-        Step::IntPairJump { a, b, target } => {
-            vec![Step::IntAlu(*a), Step::IntAlu(*b), Step::Jump(*target)]
-        }
         Step::LoadGIntAlu { dst, mem, b } => vec![
             Step::LoadGlobal {
                 dst: *dst,
@@ -782,37 +776,6 @@ pub(crate) fn decompose(step: &Step) -> Option<(Vec<Step>, bool)> {
         Step::StoreFIJump { src, s, target } => {
             vec![Step::StoreFI { src: *src, s: *s }, Step::Jump(*target)]
         }
-        Step::StoreFFJump { src, s, target } => {
-            vec![Step::StoreFF { src: *src, s: *s }, Step::Jump(*target)]
-        }
-        Step::LoadFUnFF {
-            dst,
-            s,
-            op,
-            udst,
-            usrc,
-        } => vec![
-            Step::LoadFF { dst: *dst, s: *s },
-            Step::UnFF {
-                op: *op,
-                dst: *udst,
-                src: *usrc,
-            },
-        ],
-        Step::UnFFStoreF {
-            op,
-            udst,
-            usrc,
-            src,
-            s,
-        } => vec![
-            Step::UnFF {
-                op: *op,
-                dst: *udst,
-                src: *usrc,
-            },
-            Step::StoreFF { src: *src, s: *s },
-        ],
         Step::LoadFUnFFStoreFF {
             dst,
             ls,
@@ -1081,7 +1044,7 @@ fn step_sem_eq(a: &Step, b: &Step) -> bool {
 }
 
 /// Walks every block of the fused image, decomposing each superinstruction
-/// and requiring its constituents to be semantically identical to the twin's
+/// and requiring its constituents to be semantically identical to the reference's
 /// steps at the same pcs.  Returns the number of fused steps replayed.
 fn check_replay(img: &ExecImage, base: &ExecImage) -> Result<usize, VerifyError> {
     let mut replayed = 0usize;
@@ -1107,7 +1070,7 @@ fn check_replay(img: &ExecImage, base: &ExecImage) -> Result<usize, VerifyError>
                             Some(fi as u32),
                             Some(i as u32),
                             format!(
-                                "terminator {} differs from twin's {}",
+                                "terminator {} differs from reference's {}",
                                 step.variant_name(),
                                 base.steps[i].variant_name()
                             ),
@@ -1123,7 +1086,7 @@ fn check_replay(img: &ExecImage, base: &ExecImage) -> Result<usize, VerifyError>
                                 Some(fi as u32),
                                 Some(i as u32),
                                 format!(
-                                    "step {} differs from twin's {}",
+                                    "step {} differs from reference's {}",
                                     step.variant_name(),
                                     base.steps[i].variant_name()
                                 ),
@@ -1165,7 +1128,7 @@ fn check_replay(img: &ExecImage, base: &ExecImage) -> Result<usize, VerifyError>
                                     Some(fi as u32),
                                     Some((i + j) as u32),
                                     format!(
-                                        "constituent {j} of {} ({}) differs from twin's {}",
+                                        "constituent {j} of {} ({}) differs from reference's {}",
                                         step.variant_name(),
                                         part.variant_name(),
                                         base.steps[i + j].variant_name()
@@ -1717,7 +1680,7 @@ fn for_each_use(step: &Step, call_args: &[Operand], f: &mut dyn FnMut(u32)) {
 /// The register `step` defines, for liveness kills.  Calls deliberately
 /// return `None` — the typing pass treats a call's destination as a
 /// may-write, exactly mirroring `typing::entry_live`.  Unfused steps only
-/// (liveness runs on the twin).
+/// (liveness runs on the reference).
 fn step_def_kill(step: &Step) -> Option<u32> {
     match step {
         Step::IntAlu(a) => Some(a.dst),
@@ -2394,9 +2357,6 @@ fn first_slot_mut(step: &mut Step) -> Option<&mut FrameSlot> {
         | Step::LoadFPairF { s1: s, .. }
         | Step::LoadFCmpBr { s, .. }
         | Step::StoreFIJump { s, .. }
-        | Step::StoreFFJump { s, .. }
-        | Step::LoadFUnFF { s, .. }
-        | Step::UnFFStoreF { s, .. }
         | Step::LoadFUnFFStoreFF { ls: s, .. }
         | Step::LoadFFAluStoreFF { ls: s, .. }
         | Step::LoadFAluStoreF { ls: s, .. } => Some(s),
@@ -2408,9 +2368,7 @@ fn first_edge_mut(step: &mut Step) -> Option<&mut EdgeTarget> {
     match step {
         Step::Jump(t)
         | Step::IntAluJump { target: t, .. }
-        | Step::IntPairJump { target: t, .. }
-        | Step::StoreFIJump { target: t, .. }
-        | Step::StoreFFJump { target: t, .. } => Some(t),
+        | Step::StoreFIJump { target: t, .. } => Some(t),
         Step::Branch { taken: t, .. }
         | Step::IntCmpBr { taken: t, .. }
         | Step::LoadFCmpBr { taken: t, .. }
@@ -2425,7 +2383,6 @@ fn first_dst_mut(step: &mut Step) -> Option<&mut u32> {
         | Step::IntPair(a, _)
         | Step::IntCmpBr { a, .. }
         | Step::IntAluJump { a, .. }
-        | Step::IntPairJump { a, .. }
         | Step::IntAluLoadG { a, .. }
         | Step::IntAluStoreF { a, .. } => Some(&mut a.dst),
         Step::FloatAlu(a)
@@ -2456,7 +2413,6 @@ fn first_dst_mut(step: &mut Step) -> Option<&mut u32> {
         | Step::LoadGCmpBr { dst, .. }
         | Step::LoadFAluStoreF { dst, .. }
         | Step::LoadFFAluStoreFF { dst, .. }
-        | Step::LoadFUnFF { dst, .. }
         | Step::LoadFUnFFStoreFF { dst, .. }
         | Step::StoreFLoadF { dst, .. }
         | Step::LoadFIStoreG { dst, .. } => Some(dst),
@@ -2482,12 +2438,19 @@ fn first_gmem_mut(step: &mut Step) -> Option<&mut GlobalMem> {
 }
 
 /// Returns a clone of `image` with `c` applied to the first applicable site,
-/// or `None` when the image has no applicable site (e.g. no global references
-/// for [`Corruption::GlobalRegionLie`]).  The result is guaranteed to differ
+/// paired with the reference to verify it against (a clone of `reference`,
+/// the unfused decode [`verify_image`] takes), or `None` when the image has
+/// no applicable site (e.g. no global references for
+/// [`Corruption::GlobalRegionLie`]).  The mutant is guaranteed to differ
 /// semantically from `image` — the self-test asserts [`verify_image`]
-/// rejects it.
-pub fn corrupt_image(image: &ExecImage, c: Corruption) -> Option<ExecImage> {
+/// rejects the pair.
+pub fn corrupt_image(
+    image: &ExecImage,
+    reference: &ExecImage,
+    c: Corruption,
+) -> Option<(ExecImage, ExecImage)> {
     let mut img = image.clone();
+    let mut reference = reference.clone();
     // Per-function step ranges and table sizes, captured up front so the
     // mutation loop can hold `&mut` steps.
     let ranges: Vec<(usize, usize, u32, u32)> = img
@@ -2538,9 +2501,7 @@ pub fn corrupt_image(image: &ExecImage, c: Corruption) -> Option<ExecImage> {
             _ => false,
         }),
         Corruption::DroppedBudgetArm => img.steps.iter_mut().any(|step| match step {
-            Step::IntAluJump { target, .. }
-            | Step::StoreFIJump { target, .. }
-            | Step::StoreFFJump { target, .. } => {
+            Step::IntAluJump { target, .. } | Step::StoreFIJump { target, .. } => {
                 *step = Step::Jump(*target);
                 true
             }
@@ -2555,13 +2516,6 @@ pub fn corrupt_image(image: &ExecImage, c: Corruption) -> Option<ExecImage> {
                     bank: RegBank::Int,
                     taken: *taken,
                     not_taken: *not_taken,
-                };
-                true
-            }
-            Step::IntPairJump { a, target, .. } => {
-                *step = Step::IntAluJump {
-                    a: *a,
-                    target: *target,
                 };
                 true
             }
@@ -2620,15 +2574,13 @@ pub fn corrupt_image(image: &ExecImage, c: Corruption) -> Option<ExecImage> {
                         f.frame.zero_slots_tagged = false;
                     };
                     clear(&mut img.funcs[fi]);
-                    // Clear the twin too, so the lie is structurally
+                    // Clear the reference too, so the lie is structurally
                     // consistent and only the elision proof can catch it.
-                    if let Some(twin) = img.unfused.as_deref_mut() {
-                        clear(&mut twin.funcs[fi]);
-                    }
+                    clear(&mut reference.funcs[fi]);
                     true
                 }
             }
         }
     };
-    applied.then_some(img)
+    applied.then_some((img, reference))
 }

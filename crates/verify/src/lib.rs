@@ -101,7 +101,7 @@ pub const LEDGER: &[Invariant] = &[
         id: "fused-replay",
         summary: "every fused superinstruction replays its unfused \
                   constituents exactly — same budget decrements, same halt \
-                  points, same observer events — against the unfused twin",
+                  points, same observer events — against the unfused decode",
     },
 ];
 

@@ -3,7 +3,8 @@
 //! Modes (default: all of them, with 500 random programs):
 //!
 //! * `--registry` — compile all registry workloads at `-O0` and `-O2`, build
-//!   fused + unfused images, and require `verify_image` to accept every one.
+//!   fused + unfused images, and require `verify_image` to accept every one
+//!   (the fused image against the unfused decode, the unfused against itself).
 //! * `--random N` — same acceptance over `N` random programs from the
 //!   differential generators (general + `-O0` frame-shaped).
 //! * `--self-test N` — mutation kit: corrupt valid images every way the kit
@@ -95,11 +96,10 @@ fn main() {
 /// number of rejections (counted as failures — these are valid programs).
 fn verify_both(what: &str, program: &bsg_ir::Program) -> usize {
     let mut failures = 0;
-    for (form, image) in [
-        ("fused", ExecImage::new(program)),
-        ("unfused", ExecImage::unfused(program)),
-    ] {
-        if let Err(e) = verify_image(&image) {
+    let fused = ExecImage::new(program);
+    let unfused = ExecImage::unfused(program);
+    for (form, image) in [("fused", &fused), ("unfused", &unfused)] {
+        if let Err(e) = verify_image(image, &unfused) {
             eprintln!("FALSE POSITIVE: {what} ({form}): {e}");
             failures += 1;
         }
@@ -130,7 +130,7 @@ fn registry_sweep() -> usize {
             let t1 = Instant::now();
             for (form, image) in [("fused", &fused), ("unfused", &unfused)] {
                 images += 1;
-                if let Err(e) = verify_image(image) {
+                if let Err(e) = verify_image(image, &unfused) {
                     eprintln!("FALSE POSITIVE: {}@{level} ({form}): {e}", w.name);
                     failures += 1;
                 }
@@ -176,13 +176,15 @@ fn mutation_self_test(n: u64) -> usize {
     let mut mutants = 0;
     let mut inapplicable = 0;
     let mut survived = 0;
-    let mut check = |what: &str, image: &ExecImage| {
+    let mut check = |what: &str, program: &bsg_ir::Program| {
+        let image = ExecImage::new(program);
+        let reference = ExecImage::unfused(program);
         for c in ALL_CORRUPTIONS {
-            match corrupt_image(image, c) {
+            match corrupt_image(&image, &reference, c) {
                 None => inapplicable += 1,
-                Some(mutant) => {
+                Some((mutant, mutant_reference)) => {
                     mutants += 1;
-                    if verify_image(&mutant).is_ok() {
+                    if verify_image(&mutant, &mutant_reference).is_ok() {
                         eprintln!("MUTANT SURVIVED: {what} under {c:?}");
                         survived += 1;
                     }
@@ -193,14 +195,8 @@ fn mutation_self_test(n: u64) -> usize {
     for seed in 0..n {
         let mut g = Gen::from_seed(seed, 0);
         g.nglobals = g.rng.gen_range(0u32..3);
-        check(
-            &format!("random seed {seed}"),
-            &ExecImage::new(&g.program()),
-        );
-        check(
-            &format!("o0-frame seed {seed}"),
-            &ExecImage::new(&o0_frame_program(seed)),
-        );
+        check(&format!("random seed {seed}"), &g.program());
+        check(&format!("o0-frame seed {seed}"), &o0_frame_program(seed));
     }
     // A couple of registry images too, for realistic shapes.
     for w in bsg_workloads::full_suite().into_iter().take(4) {
@@ -208,7 +204,7 @@ fn mutation_self_test(n: u64) -> usize {
             &w.program,
             &CompileOptions::new(OptLevel::O2, TargetIsa::X86),
         ) {
-            check(&w.name, &ExecImage::new(&c.program));
+            check(&w.name, &c.program);
         }
     }
     failures += survived;

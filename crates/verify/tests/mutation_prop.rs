@@ -17,13 +17,13 @@ fn assert_accepts_and_mutants_rejected(
     let fused = ExecImage::new(program);
     let unfused = ExecImage::unfused(program);
     for (form, image) in [("fused", &fused), ("unfused", &unfused)] {
-        if let Err(e) = verify_image(image) {
+        if let Err(e) = verify_image(image, &unfused) {
             return Err(format!("false positive on {what} ({form}): {e}"));
         }
     }
     for c in ALL_CORRUPTIONS {
-        if let Some(mutant) = corrupt_image(&fused, c) {
-            if verify_image(&mutant).is_ok() {
+        if let Some((mutant, reference)) = corrupt_image(&fused, &unfused, c) {
+            if verify_image(&mutant, &reference).is_ok() {
                 return Err(format!("mutant survived on {what}: {c:?}"));
             }
         }
@@ -59,8 +59,9 @@ fn every_corruption_applies_somewhere() {
         g.nglobals = g.rng.gen_range(0u32..3);
         for program in [g.program(), o0_frame_program(seed)] {
             let image = ExecImage::new(&program);
+            let reference = ExecImage::unfused(&program);
             for (i, c) in ALL_CORRUPTIONS.into_iter().enumerate() {
-                if corrupt_image(&image, c).is_some() {
+                if corrupt_image(&image, &reference, c).is_some() {
                     applied[i] = true;
                 }
             }

@@ -14,11 +14,10 @@ fn small_suite_verifies_at_o0_and_o2() {
         for level in [OptLevel::O0, OptLevel::O2] {
             let compiled = compile(&w.program, &CompileOptions::new(level, TargetIsa::X86))
                 .unwrap_or_else(|e| panic!("{} fails to compile at {level}: {e}", w.name));
-            for (form, image) in [
-                ("fused", ExecImage::new(&compiled.program)),
-                ("unfused", ExecImage::unfused(&compiled.program)),
-            ] {
-                let report = verify_image(&image)
+            let fused = ExecImage::new(&compiled.program);
+            let unfused = ExecImage::unfused(&compiled.program);
+            for (form, image) in [("fused", &fused), ("unfused", &unfused)] {
+                let report = verify_image(image, &unfused)
                     .unwrap_or_else(|e| panic!("false positive: {}@{level} ({form}): {e}", w.name));
                 assert!(report.steps > 0, "{}@{level}: empty image", w.name);
                 if form == "fused" {
