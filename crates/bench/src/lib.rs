@@ -9,7 +9,6 @@
 //! numbers differ from the paper's hardware measurements; what is reproduced
 //! is the *shape* of each result (who wins, by roughly how much, and how the
 //! trend moves with cache size, optimization level, ISA and machine).
-//! `EXPERIMENTS.md` records paper-reported versus measured values.
 //!
 //! # The declarative pipeline
 //!
@@ -34,6 +33,8 @@
 
 pub mod experiment;
 
+/// The suite types this crate's public API takes and returns.
+pub use bsg_workloads::{suite, InputSize, Workload};
 pub use experiment::{cross, refs, Experiment, Measured, Section};
 
 use bsg_compiler::{CompileOptions, OptLevel, TargetIsa};
@@ -48,7 +49,7 @@ use bsg_uarch::cache::{CacheConfig, CacheObserver};
 use bsg_uarch::exec::{execute_image, ExecConfig};
 use bsg_uarch::machine::{MachineConfig, MachineIsa};
 use bsg_uarch::pipeline::{PipelineConfig, PipelineResult};
-use bsg_workloads::{fibonacci_workload, suite, InputSize, Workload};
+use bsg_workloads::fibonacci_workload;
 use std::fmt::Write as _;
 use std::sync::Arc;
 

@@ -6,7 +6,7 @@
 
 use bsg_compiler::{compile, CompileOptions, OptLevel, TargetIsa};
 use bsg_profile::{profile_image, profile_program, profile_program_reference, ProfileConfig};
-use bsg_uarch::exec::{execute, execute_dyn, execute_legacy, ExecConfig, NullObserver};
+use bsg_uarch::exec::{execute, execute_legacy, ExecConfig, NullObserver};
 use bsg_uarch::image::ExecImage;
 use bsg_uarch::pipeline::{simulate_image, PipelineConfig, PipelineSim};
 use bsg_workloads::{suite, InputSize};
@@ -99,17 +99,6 @@ fn profile_image_is_the_same_on_fused_and_unfused_images() {
         assert_eq!(fused, unfused, "{name}: fused vs unfused image profiles");
         assert_eq!(unfused, reference, "{name}: image vs reference profiles");
     }
-}
-
-#[test]
-fn dyn_wrapper_profiles_match_generic_path() {
-    // The compatibility wrapper (`execute_dyn`) drives the same predecoded
-    // engine; spot-check it against the generic entry point on one workload.
-    let w = suite(InputSize::Small).remove(3); // crc32/small
-    let compiled = compile(&w.program, &CompileOptions::portable(OptLevel::O0)).unwrap();
-    let a = execute(&compiled.program, &mut NullObserver, &limit());
-    let b = execute_dyn(&compiled.program, &mut NullObserver, &limit());
-    assert_eq!(a, b);
 }
 
 /// Environment variable gating the tier-2 large-input differential sweep.

@@ -179,67 +179,24 @@ impl Default for CompileOptions {
     }
 }
 
-impl bsg_ir::canon::Canon for OptLevel {
-    fn canon(&self, w: &mut dyn bsg_ir::canon::CanonWrite) {
-        w.write(&[match self {
-            OptLevel::O0 => 0,
-            OptLevel::O1 => 1,
-            OptLevel::O2 => 2,
-            OptLevel::O3 => 3,
-        }]);
-    }
-}
+bsg_ir::codec_layout!(enum OptLevel {
+    0 => O0,
+    1 => O1,
+    2 => O2,
+    3 => O3,
+});
 
-impl bsg_ir::canon::Canon for TargetIsa {
-    fn canon(&self, w: &mut dyn bsg_ir::canon::CanonWrite) {
-        w.write(&[match self {
-            TargetIsa::X86 => 0,
-            TargetIsa::X86_64 => 1,
-            TargetIsa::Ia64 => 2,
-        }]);
-    }
-}
+bsg_ir::codec_layout!(enum TargetIsa {
+    0 => X86,
+    1 => X86_64,
+    2 => Ia64,
+});
 
-impl bsg_ir::canon::Canon for CompileOptions {
-    fn canon(&self, w: &mut dyn bsg_ir::canon::CanonWrite) {
-        self.opt_level.canon(w);
-        self.isa.canon(w);
-        self.codegen.canon(w);
-    }
-}
-
-impl bsg_ir::codec::Decanon for OptLevel {
-    fn decanon(r: &mut bsg_ir::codec::CanonReader<'_>) -> Option<Self> {
-        match r.byte()? {
-            0 => Some(OptLevel::O0),
-            1 => Some(OptLevel::O1),
-            2 => Some(OptLevel::O2),
-            3 => Some(OptLevel::O3),
-            _ => None,
-        }
-    }
-}
-
-impl bsg_ir::codec::Decanon for TargetIsa {
-    fn decanon(r: &mut bsg_ir::codec::CanonReader<'_>) -> Option<Self> {
-        match r.byte()? {
-            0 => Some(TargetIsa::X86),
-            1 => Some(TargetIsa::X86_64),
-            2 => Some(TargetIsa::Ia64),
-            _ => None,
-        }
-    }
-}
-
-impl bsg_ir::codec::Decanon for CompileOptions {
-    fn decanon(r: &mut bsg_ir::codec::CanonReader<'_>) -> Option<Self> {
-        Some(CompileOptions {
-            opt_level: bsg_ir::codec::Decanon::decanon(r)?,
-            isa: bsg_ir::codec::Decanon::decanon(r)?,
-            codegen: bsg_ir::codec::Decanon::decanon(r)?,
-        })
-    }
-}
+bsg_ir::codec_layout!(struct CompileOptions {
+    opt_level,
+    isa,
+    codegen,
+});
 
 /// Errors reported while lowering an HLL program.
 #[derive(Debug, Clone, PartialEq, Eq)]

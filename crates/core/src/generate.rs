@@ -69,73 +69,30 @@ impl SynthesisConfig {
     }
 }
 
-impl bsg_ir::canon::Canon for SynthesisConfig {
-    fn canon(&self, w: &mut dyn bsg_ir::canon::CanonWrite) {
-        self.reduction_factor.canon(w);
-        self.seed.canon(w);
-        self.function_count.canon(w);
-        self.stream_elems.canon(w);
-        self.max_segments.canon(w);
-    }
-}
+bsg_ir::codec_layout!(struct SynthesisConfig {
+    reduction_factor,
+    seed,
+    function_count,
+    stream_elems,
+    max_segments,
+});
 
-impl bsg_ir::codec::Decanon for SynthesisConfig {
-    fn decanon(r: &mut bsg_ir::codec::CanonReader<'_>) -> Option<Self> {
-        Some(SynthesisConfig {
-            reduction_factor: u64::decanon(r)?,
-            seed: u64::decanon(r)?,
-            function_count: usize::decanon(r)?,
-            stream_elems: usize::decanon(r)?,
-            max_segments: usize::decanon(r)?,
-        })
-    }
-}
+bsg_ir::codec_layout!(struct SynthesisStats {
+    reduction_factor,
+    original_dynamic_instructions,
+    generated_functions,
+    generated_loops,
+    generated_ifs,
+    statements,
+    pattern_coverage,
+});
 
-impl bsg_ir::canon::Canon for SynthesisStats {
-    fn canon(&self, w: &mut dyn bsg_ir::canon::CanonWrite) {
-        self.reduction_factor.canon(w);
-        self.original_dynamic_instructions.canon(w);
-        self.generated_functions.canon(w);
-        self.generated_loops.canon(w);
-        self.generated_ifs.canon(w);
-        self.statements.canon(w);
-        self.pattern_coverage.canon(w);
-    }
-}
-
-impl bsg_ir::codec::Decanon for SynthesisStats {
-    fn decanon(r: &mut bsg_ir::codec::CanonReader<'_>) -> Option<Self> {
-        Some(SynthesisStats {
-            reduction_factor: u64::decanon(r)?,
-            original_dynamic_instructions: u64::decanon(r)?,
-            generated_functions: usize::decanon(r)?,
-            generated_loops: usize::decanon(r)?,
-            generated_ifs: usize::decanon(r)?,
-            statements: usize::decanon(r)?,
-            pattern_coverage: f64::decanon(r)?,
-        })
-    }
-}
-
-impl bsg_ir::canon::Canon for SyntheticBenchmark {
-    fn canon(&self, w: &mut dyn bsg_ir::canon::CanonWrite) {
-        self.name.canon(w);
-        self.hll.canon(w);
-        self.c_source.canon(w);
-        self.stats.canon(w);
-    }
-}
-
-impl bsg_ir::codec::Decanon for SyntheticBenchmark {
-    fn decanon(r: &mut bsg_ir::codec::CanonReader<'_>) -> Option<Self> {
-        Some(SyntheticBenchmark {
-            name: String::decanon(r)?,
-            hll: HllProgram::decanon(r)?,
-            c_source: String::decanon(r)?,
-            stats: SynthesisStats::decanon(r)?,
-        })
-    }
-}
+bsg_ir::codec_layout!(struct SyntheticBenchmark {
+    name,
+    hll,
+    c_source,
+    stats,
+});
 
 /// Statistics about a generated benchmark.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]

@@ -41,25 +41,12 @@ impl TargetedSynthesis {
     }
 }
 
-impl bsg_ir::canon::Canon for TargetedSynthesis {
-    fn canon(&self, w: &mut dyn bsg_ir::canon::CanonWrite) {
-        self.benchmark.canon(w);
-        self.synthetic_instructions.canon(w);
-        self.original_instructions.canon(w);
-        self.reduction_factor.canon(w);
-    }
-}
-
-impl bsg_ir::codec::Decanon for TargetedSynthesis {
-    fn decanon(r: &mut bsg_ir::codec::CanonReader<'_>) -> Option<Self> {
-        Some(TargetedSynthesis {
-            benchmark: SyntheticBenchmark::decanon(r)?,
-            synthetic_instructions: u64::decanon(r)?,
-            original_instructions: u64::decanon(r)?,
-            reduction_factor: u64::decanon(r)?,
-        })
-    }
-}
+bsg_ir::codec_layout!(struct TargetedSynthesis {
+    benchmark,
+    synthetic_instructions,
+    original_instructions,
+    reduction_factor,
+});
 
 /// Measures the `-O0` dynamic instruction count of a synthetic benchmark,
 /// bounded by `cap`.  A candidate clone at a too-small reduction factor can

@@ -1,12 +1,27 @@
-//! Decoding counterpart of [`crate::canon`] — the disk artifact cache's
-//! wire format.
+//! The canonical byte codec: content addresses, the disk artifact cache's
+//! format and the server's wire format.
 //!
-//! The canonical byte encoding was introduced for content addressing (hash
-//! the stream, get a [`SourceId`](crate::canon)-style key).  Because it is
-//! self-delimiting — every enum variant discriminant-tagged, every
-//! collection length-prefixed — it is also a complete serialization, so the
-//! disk tier of the artifact store persists artifacts as their canonical
-//! bytes and decodes them with the [`Decanon`] trait defined here.
+//! The artifact store (`bsg-runtime`) keys compiled programs, profiles and
+//! synthesis results by a structural hash of their source.  Hashing a
+//! `Debug` rendering — the original scheme — is not injective: every `f64`
+//! NaN payload renders as the three characters `NaN`, so two sources that
+//! differ only in NaN bits share one rendering (and therefore one cache
+//! entry, silently serving the wrong artifact).  [`Canon`] instead emits an
+//! explicit, self-delimiting byte encoding:
+//!
+//! * every enum variant writes a **discriminant byte** before its fields;
+//! * every variable-length collection (strings, vectors, maps) writes its
+//!   **length as a little-endian `u64` prefix** before its elements
+//!   (fixed-size arrays write none: the length is part of the type);
+//! * scalars write their fixed-width little-endian bytes; floats write
+//!   `to_bits()`, so every NaN payload, signed zero and subnormal is
+//!   distinct.
+//!
+//! Two values of the same type produce the same byte stream iff they are
+//! structurally equal, so a 128-bit hash of the stream is a sound content
+//! address (up to hash collisions).  Because the stream is self-delimiting
+//! it is also a complete serialization: the disk tier persists artifacts as
+//! their canonical bytes and [`Decanon`] decodes them.
 //!
 //! Decoders are **total**: any byte stream either decodes to a value or
 //! returns `None` — never a panic, never an out-of-bounds read, never an
@@ -20,12 +35,19 @@
 //! * unknown enum discriminants and invalid scalar encodings (`bool` bytes
 //!   other than 0/1, non-UTF-8 strings) decode to `None`.
 //!
+//! **One declaration per type.**  A composite type states its layout once,
+//! with [`codec_layout!`](crate::codec_layout): its field order, or its
+//! variants and their tags.  Both traits are generated from that statement,
+//! so the encoder and decoder cannot drift apart.  Only leaf types are
+//! written by hand, each pair side by side: scalars, strings, collections,
+//! the id newtypes, and the few types whose decode is not the mirror of
+//! their encode ([`InstClass`] here, `BsgError` in `bsg-runtime`).
+//!
 //! The round-trip law, checked by the tests at the bottom and by the store's
 //! own verification: for every `T: Canon + Decanon`,
 //! `decanon(canon(x)) == Some(x)` and the decode consumes exactly the bytes
 //! the encode produced.
 
-use crate::canon::Canon;
 use crate::hll::{Expr, HllFunction, HllGlobal, HllProgram, LValue, Stmt};
 use crate::program::{Block, Function, Global, GlobalInit, Program};
 use crate::types::{BlockId, FuncId, GlobalId, Reg, Ty, Value};
@@ -33,6 +55,25 @@ use crate::visa::{
     Address, BinOp, Inst, InstClass, MemBase, Operand, OperandKind, Terminator, UnOp,
 };
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Byte sink for the canonical encoding (implemented by hashers).
+pub trait CanonWrite {
+    /// Consumes the next chunk of the canonical byte stream.
+    fn write(&mut self, bytes: &[u8]);
+}
+
+/// A `Vec<u8>` sink, convenient for tests and debugging.
+impl CanonWrite for Vec<u8> {
+    fn write(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// Types with a canonical, injective byte encoding (see the module docs).
+pub trait Canon {
+    /// Writes `self`'s canonical bytes to `w`.
+    fn canon(&self, w: &mut dyn CanonWrite);
+}
 
 /// Bounded cursor over a canonical byte stream.
 pub struct CanonReader<'a> {
@@ -46,19 +87,14 @@ impl<'a> CanonReader<'a> {
         CanonReader { bytes, pos: 0 }
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
     /// `true` once every input byte has been consumed (decoders for
     /// top-level artifacts require this, so trailing garbage is corruption).
-    pub fn is_exhausted(&self) -> bool {
+    fn is_exhausted(&self) -> bool {
         self.pos == self.bytes.len()
     }
 
     /// The next `n` bytes, or `None` past the end of input.
-    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         let chunk = self.bytes.get(self.pos..end)?;
         self.pos = end;
@@ -77,7 +113,7 @@ impl<'a> CanonReader<'a> {
     /// A little-endian length prefix.  The value is returned untrusted; use
     /// it only to bound a loop that itself reads (and therefore bounds-
     /// checks) each element.
-    pub fn length_prefix(&mut self) -> Option<u64> {
+    fn length_prefix(&mut self) -> Option<u64> {
         self.array::<8>().map(u64::from_le_bytes)
     }
 }
@@ -103,8 +139,109 @@ pub fn from_canon_bytes<T: Decanon>(bytes: &[u8]) -> Option<T> {
     r.is_exhausted().then_some(value)
 }
 
-macro_rules! impl_decanon_le {
+/// Declares a type's canonical layout once and derives both [`Canon`] and
+/// [`Decanon`] from it.
+///
+/// * `struct T { a, b, c }` — the named fields, in encoding order.
+/// * `enum T { 0 => Unit, 1 => Tuple(a, b), 2 => Struct { x, y } }` — each
+///   variant with its one-byte tag, then its fields in the order listed
+///   (tuple fields get binding names; struct fields use their own).
+///
+/// The generated decoder reads fields in the declared order and maps any
+/// tag not listed to `None`; every read goes through [`CanonReader`], so it
+/// stays total.  Tags are explicit so that reordering a type's variants
+/// never changes its bytes.  A field or variant left out of the layout is
+/// a compile error: the decoder builds the whole struct literal, and the
+/// encoder's match must be exhaustive.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Dot,
+///     Line(u32, u32),
+///     Box { w: u32, h: u32 },
+/// }
+/// bsg_ir::codec_layout!(enum Shape {
+///     0 => Dot,
+///     1 => Line(from, to),
+///     2 => Box { w, h },
+/// });
+///
+/// let bytes = bsg_ir::codec::to_canon_bytes(&Shape::Line(1, 2));
+/// assert_eq!(bytes[0], 1);
+/// assert_eq!(bsg_ir::codec::from_canon_bytes(&bytes), Some(Shape::Line(1, 2)));
+/// assert_eq!(bsg_ir::codec::from_canon_bytes::<Shape>(&[3]), None);
+/// ```
+#[macro_export]
+macro_rules! codec_layout {
+    (struct $t:ident {
+        $($field:ident),* $(,)?
+    }) => {
+        impl $crate::codec::Canon for $t {
+            fn canon(&self, w: &mut dyn $crate::codec::CanonWrite) {
+                $($crate::codec::Canon::canon(&self.$field, w);)*
+            }
+        }
+
+        impl $crate::codec::Decanon for $t {
+            fn decanon(r: &mut $crate::codec::CanonReader<'_>) -> Option<Self> {
+                Some($t {
+                    $($field: $crate::codec::Decanon::decanon(r)?,)*
+                })
+            }
+        }
+    };
+    (enum $t:ident {
+        $($tag:literal => $variant:ident
+            $(($($tuple:ident),*))?
+            $({$($named:ident),*})?
+        ),* $(,)?
+    }) => {
+        impl $crate::codec::Canon for $t {
+            fn canon(&self, w: &mut dyn $crate::codec::CanonWrite) {
+                match self {
+                    $($t::$variant $(($($tuple),*))? $({$($named),*})? => {
+                        w.write(&[$tag]);
+                        $($($crate::codec::Canon::canon($tuple, w);)*)?
+                        $($($crate::codec::Canon::canon($named, w);)*)?
+                    })*
+                }
+            }
+        }
+
+        impl $crate::codec::Decanon for $t {
+            fn decanon(r: &mut $crate::codec::CanonReader<'_>) -> Option<Self> {
+                Some(match r.byte()? {
+                    $($tag => {
+                        $($(let $tuple = $crate::codec::Decanon::decanon(r)?;)*)?
+                        $($(let $named = $crate::codec::Decanon::decanon(r)?;)*)?
+                        $t::$variant $(($($tuple),*))? $({$($named),*})?
+                    })*
+                    _ => return None,
+                })
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------------
+// Hand-written leaf pairs.  Each encode sits beside its decode.
+// ---------------------------------------------------------------------------
+
+/// Writes a length prefix (little-endian `u64`).
+fn put_len(w: &mut dyn CanonWrite, len: usize) {
+    w.write(&(len as u64).to_le_bytes());
+}
+
+// Integers: fixed-width little-endian bytes.
+macro_rules! impl_le {
     ($($t:ty),*) => {$(
+        impl Canon for $t {
+            fn canon(&self, w: &mut dyn CanonWrite) {
+                w.write(&self.to_le_bytes());
+            }
+        }
+
         impl Decanon for $t {
             fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
                 r.array().map(<$t>::from_le_bytes)
@@ -113,11 +250,25 @@ macro_rules! impl_decanon_le {
     )*};
 }
 
-impl_decanon_le!(u8, u16, u32, u64, i8, i16, i32, i64);
+impl_le!(u8, u16, u32, u64, i8, i16, i32, i64);
+
+// `usize` travels as `u64`, so the bytes do not depend on the platform.
+impl Canon for usize {
+    fn canon(&self, w: &mut dyn CanonWrite) {
+        (*self as u64).canon(w);
+    }
+}
 
 impl Decanon for usize {
     fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
         usize::try_from(u64::decanon(r)?).ok()
+    }
+}
+
+// `bool` is one byte, and only 0 and 1 decode.
+impl Canon for bool {
+    fn canon(&self, w: &mut dyn CanonWrite) {
+        w.write(&[u8::from(*self)]);
     }
 }
 
@@ -131,9 +282,31 @@ impl Decanon for bool {
     }
 }
 
+// `f64` travels as its bits: every NaN payload and -0.0 stay distinct, the
+// injectivity holes of the `Debug` rendering.
+impl Canon for f64 {
+    fn canon(&self, w: &mut dyn CanonWrite) {
+        self.to_bits().canon(w);
+    }
+}
+
 impl Decanon for f64 {
     fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
         u64::decanon(r).map(f64::from_bits)
+    }
+}
+
+// Strings are length-prefixed UTF-8; invalid UTF-8 does not decode.
+impl Canon for str {
+    fn canon(&self, w: &mut dyn CanonWrite) {
+        put_len(w, self.len());
+        w.write(self.as_bytes());
+    }
+}
+
+impl Canon for String {
+    fn canon(&self, w: &mut dyn CanonWrite) {
+        self.as_str().canon(w);
     }
 }
 
@@ -145,6 +318,19 @@ impl Decanon for String {
     }
 }
 
+// `Option` is a two-variant enum: tag 0 for `None`, tag 1 then the value.
+impl<T: Canon> Canon for Option<T> {
+    fn canon(&self, w: &mut dyn CanonWrite) {
+        match self {
+            None => w.write(&[0]),
+            Some(v) => {
+                w.write(&[1]);
+                v.canon(w);
+            }
+        }
+    }
+}
+
 impl<T: Decanon> Decanon for Option<T> {
     fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
         match r.byte()? {
@@ -152,6 +338,23 @@ impl<T: Decanon> Decanon for Option<T> {
             1 => T::decanon(r).map(Some),
             _ => None,
         }
+    }
+}
+
+// Slices and vectors are length-prefixed; the prefix is never trusted for
+// allocation.
+impl<T: Canon> Canon for [T] {
+    fn canon(&self, w: &mut dyn CanonWrite) {
+        put_len(w, self.len());
+        for v in self {
+            v.canon(w);
+        }
+    }
+}
+
+impl<T: Canon> Canon for Vec<T> {
+    fn canon(&self, w: &mut dyn CanonWrite) {
+        self.as_slice().canon(w);
     }
 }
 
@@ -169,32 +372,75 @@ impl<T: Decanon> Decanon for Vec<T> {
     }
 }
 
+// Fixed-size arrays carry no prefix: the length is part of the type.
+impl<T: Canon, const N: usize> Canon for [T; N] {
+    fn canon(&self, w: &mut dyn CanonWrite) {
+        for v in self {
+            v.canon(w);
+        }
+    }
+}
+
+impl<T: Decanon, const N: usize> Decanon for [T; N] {
+    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
+        let mut out = Vec::with_capacity(N);
+        for _ in 0..N {
+            out.push(T::decanon(r)?);
+        }
+        out.try_into().ok()
+    }
+}
+
+// References and boxes are transparent (references only encode: they key
+// lookups without cloning).
+impl<T: Canon + ?Sized> Canon for &T {
+    fn canon(&self, w: &mut dyn CanonWrite) {
+        (**self).canon(w);
+    }
+}
+
+impl<T: Canon> Canon for Box<T> {
+    fn canon(&self, w: &mut dyn CanonWrite) {
+        (**self).canon(w);
+    }
+}
+
 impl<T: Decanon> Decanon for Box<T> {
     fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
         T::decanon(r).map(Box::new)
     }
 }
 
-impl<A: Decanon, B: Decanon> Decanon for (A, B) {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some((A::decanon(r)?, B::decanon(r)?))
-    }
+// Tuples are their fields in order, with no tag.
+macro_rules! impl_tuple {
+    ($($name:ident $index:tt),+) => {
+        impl<$($name: Canon),+> Canon for ($($name,)+) {
+            fn canon(&self, w: &mut dyn CanonWrite) {
+                $(self.$index.canon(w);)+
+            }
+        }
+
+        impl<$($name: Decanon),+> Decanon for ($($name,)+) {
+            fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
+                Some(($($name::decanon(r)?,)+))
+            }
+        }
+    };
 }
 
-impl<A: Decanon, B: Decanon, C: Decanon> Decanon for (A, B, C) {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some((A::decanon(r)?, B::decanon(r)?, C::decanon(r)?))
-    }
-}
+impl_tuple!(A 0, B 1);
+impl_tuple!(A 0, B 1, C 2);
+impl_tuple!(A 0, B 1, C 2, D 3);
 
-impl<A: Decanon, B: Decanon, C: Decanon, D: Decanon> Decanon for (A, B, C, D) {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some((
-            A::decanon(r)?,
-            B::decanon(r)?,
-            C::decanon(r)?,
-            D::decanon(r)?,
-        ))
+// Maps and sets are length-prefixed and written in ascending key order; a
+// duplicate key on decode would silently collapse, so it is corruption.
+impl<K: Canon, V: Canon> Canon for BTreeMap<K, V> {
+    fn canon(&self, w: &mut dyn CanonWrite) {
+        put_len(w, self.len());
+        for (k, v) in self {
+            k.canon(w);
+            v.canon(w);
+        }
     }
 }
 
@@ -205,13 +451,20 @@ impl<K: Decanon + Ord, V: Decanon> Decanon for BTreeMap<K, V> {
         for _ in 0..len {
             let k = K::decanon(r)?;
             let v = V::decanon(r)?;
-            // Canon writes keys in strictly ascending order; a duplicate
-            // would silently collapse, so reject it as corruption.
             if out.insert(k, v).is_some() {
                 return None;
             }
         }
         Some(out)
+    }
+}
+
+impl<T: Canon> Canon for BTreeSet<T> {
+    fn canon(&self, w: &mut dyn CanonWrite) {
+        put_len(w, self.len());
+        for v in self {
+            v.canon(w);
+        }
     }
 }
 
@@ -228,69 +481,30 @@ impl<T: Decanon + Ord> Decanon for BTreeSet<T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// IR scalar enums.
-// ---------------------------------------------------------------------------
-
-impl Decanon for Ty {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        match r.byte()? {
-            0 => Some(Ty::Int),
-            1 => Some(Ty::Float),
-            _ => None,
+// The id newtypes are their `u32`.
+macro_rules! impl_id {
+    ($($t:ident),*) => {$(
+        impl Canon for $t {
+            fn canon(&self, w: &mut dyn CanonWrite) {
+                self.0.canon(w);
+            }
         }
-    }
-}
 
-impl Decanon for Value {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        match r.byte()? {
-            0 => i64::decanon(r).map(Value::Int),
-            1 => f64::decanon(r).map(Value::Float),
-            _ => None,
+        impl Decanon for $t {
+            fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
+                u32::decanon(r).map($t)
+            }
         }
-    }
+    )*};
 }
 
-impl Decanon for BinOp {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => BinOp::Add,
-            1 => BinOp::Sub,
-            2 => BinOp::Mul,
-            3 => BinOp::Div,
-            4 => BinOp::Rem,
-            5 => BinOp::And,
-            6 => BinOp::Or,
-            7 => BinOp::Xor,
-            8 => BinOp::Shl,
-            9 => BinOp::Shr,
-            10 => BinOp::Lt,
-            11 => BinOp::Le,
-            12 => BinOp::Gt,
-            13 => BinOp::Ge,
-            14 => BinOp::Eq,
-            15 => BinOp::Ne,
-            _ => return None,
-        })
-    }
-}
+impl_id!(Reg, BlockId, FuncId, GlobalId);
 
-impl Decanon for UnOp {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => UnOp::Neg,
-            1 => UnOp::Not,
-            2 => UnOp::LogicalNot,
-            3 => UnOp::ToFloat,
-            4 => UnOp::ToInt,
-            5 => UnOp::Sqrt,
-            6 => UnOp::Sin,
-            7 => UnOp::Cos,
-            8 => UnOp::Log,
-            9 => UnOp::Abs,
-            _ => return None,
-        })
+// `InstClass` is its index into `InstClass::ALL`, which is also its decode
+// table (the enum has too many variants to list twice).
+impl Canon for InstClass {
+    fn canon(&self, w: &mut dyn CanonWrite) {
+        w.write(&[self.index() as u8]);
     }
 }
 
@@ -300,281 +514,175 @@ impl Decanon for InstClass {
     }
 }
 
-impl Decanon for OperandKind {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        match r.byte()? {
-            0 => Some(OperandKind::Register),
-            1 => Some(OperandKind::Constant),
-            2 => Some(OperandKind::Memory),
-            _ => None,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// HLL programs.
+// IR layouts.
 // ---------------------------------------------------------------------------
 
-impl Decanon for Expr {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => Expr::Int(i64::decanon(r)?),
-            1 => Expr::Float(f64::decanon(r)?),
-            2 => Expr::Var(String::decanon(r)?),
-            3 => Expr::Index(String::decanon(r)?, Box::decanon(r)?),
-            4 => Expr::Bin(BinOp::decanon(r)?, Box::decanon(r)?, Box::decanon(r)?),
-            5 => Expr::Un(UnOp::decanon(r)?, Box::decanon(r)?),
-            6 => Expr::Call(String::decanon(r)?, Vec::decanon(r)?),
-            _ => return None,
-        })
-    }
-}
+crate::codec_layout!(enum Ty {
+    0 => Int,
+    1 => Float,
+});
 
-impl Decanon for LValue {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => LValue::Var(String::decanon(r)?),
-            1 => LValue::Index(String::decanon(r)?, Box::decanon(r)?),
-            _ => return None,
-        })
-    }
-}
+crate::codec_layout!(enum Value {
+    0 => Int(v),
+    1 => Float(v),
+});
 
-impl Decanon for Stmt {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => Stmt::Assign {
-                target: LValue::decanon(r)?,
-                value: Expr::decanon(r)?,
-            },
-            1 => Stmt::If {
-                cond: Expr::decanon(r)?,
-                then_branch: Vec::decanon(r)?,
-                else_branch: Vec::decanon(r)?,
-            },
-            2 => Stmt::While {
-                cond: Expr::decanon(r)?,
-                body: Vec::decanon(r)?,
-            },
-            3 => Stmt::For {
-                var: String::decanon(r)?,
-                init: Expr::decanon(r)?,
-                limit: Expr::decanon(r)?,
-                step: Expr::decanon(r)?,
-                body: Vec::decanon(r)?,
-            },
-            4 => Stmt::Call {
-                name: String::decanon(r)?,
-                args: Vec::decanon(r)?,
-                dst: Option::decanon(r)?,
-            },
-            5 => Stmt::Return(Option::decanon(r)?),
-            6 => Stmt::Print(Expr::decanon(r)?),
-            7 => Stmt::Break,
-            8 => Stmt::Continue,
-            _ => return None,
-        })
-    }
-}
+crate::codec_layout!(enum BinOp {
+    0 => Add,
+    1 => Sub,
+    2 => Mul,
+    3 => Div,
+    4 => Rem,
+    5 => And,
+    6 => Or,
+    7 => Xor,
+    8 => Shl,
+    9 => Shr,
+    10 => Lt,
+    11 => Le,
+    12 => Gt,
+    13 => Ge,
+    14 => Eq,
+    15 => Ne,
+});
 
-impl Decanon for HllGlobal {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(HllGlobal {
-            name: String::decanon(r)?,
-            elems: usize::decanon(r)?,
-            ty: Ty::decanon(r)?,
-            init: Vec::decanon(r)?,
-            iota: bool::decanon(r)?,
-        })
-    }
-}
+crate::codec_layout!(enum UnOp {
+    0 => Neg,
+    1 => Not,
+    2 => LogicalNot,
+    3 => ToFloat,
+    4 => ToInt,
+    5 => Sqrt,
+    6 => Sin,
+    7 => Cos,
+    8 => Log,
+    9 => Abs,
+});
 
-impl Decanon for HllFunction {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(HllFunction {
-            name: String::decanon(r)?,
-            params: Vec::decanon(r)?,
-            float_vars: Vec::decanon(r)?,
-            body: Vec::decanon(r)?,
-        })
-    }
-}
+crate::codec_layout!(enum OperandKind {
+    0 => Register,
+    1 => Constant,
+    2 => Memory,
+});
 
-impl Decanon for HllProgram {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(HllProgram {
-            globals: Vec::decanon(r)?,
-            functions: Vec::decanon(r)?,
-            entry: String::decanon(r)?,
-        })
-    }
-}
+crate::codec_layout!(enum Expr {
+    0 => Int(v),
+    1 => Float(v),
+    2 => Var(name),
+    3 => Index(name, index),
+    4 => Bin(op, lhs, rhs),
+    5 => Un(op, operand),
+    6 => Call(name, args),
+});
 
-// ---------------------------------------------------------------------------
-// VISA programs.
-// ---------------------------------------------------------------------------
+crate::codec_layout!(enum LValue {
+    0 => Var(name),
+    1 => Index(name, index),
+});
 
-macro_rules! impl_decanon_id {
-    ($($t:ident),*) => {$(
-        impl Decanon for $t {
-            fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-                u32::decanon(r).map($t)
-            }
-        }
-    )*};
-}
+crate::codec_layout!(enum Stmt {
+    0 => Assign { target, value },
+    1 => If { cond, then_branch, else_branch },
+    2 => While { cond, body },
+    3 => For { var, init, limit, step, body },
+    4 => Call { name, args, dst },
+    5 => Return(value),
+    6 => Print(value),
+    7 => Break,
+    8 => Continue,
+});
 
-impl_decanon_id!(Reg, BlockId, FuncId, GlobalId);
+crate::codec_layout!(struct HllGlobal {
+    name,
+    elems,
+    ty,
+    init,
+    iota,
+});
 
-impl Decanon for MemBase {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        match r.byte()? {
-            0 => GlobalId::decanon(r).map(MemBase::Global),
-            1 => Some(MemBase::Frame),
-            _ => None,
-        }
-    }
-}
+crate::codec_layout!(struct HllFunction {
+    name,
+    params,
+    float_vars,
+    body,
+});
 
-impl Decanon for Address {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(Address {
-            base: MemBase::decanon(r)?,
-            offset: i64::decanon(r)?,
-            index: Option::decanon(r)?,
-            scale: i64::decanon(r)?,
-        })
-    }
-}
+crate::codec_layout!(struct HllProgram {
+    globals,
+    functions,
+    entry,
+});
 
-impl Decanon for Operand {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => Operand::Reg(Reg::decanon(r)?),
-            1 => Operand::ImmInt(i64::decanon(r)?),
-            2 => Operand::ImmFloat(f64::decanon(r)?),
-            3 => Operand::Mem(Address::decanon(r)?),
-            _ => return None,
-        })
-    }
-}
+crate::codec_layout!(enum MemBase {
+    0 => Global(id),
+    1 => Frame,
+});
 
-impl Decanon for Inst {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => Inst::Bin {
-                op: BinOp::decanon(r)?,
-                ty: Ty::decanon(r)?,
-                dst: Reg::decanon(r)?,
-                lhs: Operand::decanon(r)?,
-                rhs: Operand::decanon(r)?,
-            },
-            1 => Inst::Un {
-                op: UnOp::decanon(r)?,
-                ty: Ty::decanon(r)?,
-                dst: Reg::decanon(r)?,
-                src: Operand::decanon(r)?,
-            },
-            2 => Inst::Mov {
-                dst: Reg::decanon(r)?,
-                src: Operand::decanon(r)?,
-            },
-            3 => Inst::Load {
-                dst: Reg::decanon(r)?,
-                addr: Address::decanon(r)?,
-                ty: Ty::decanon(r)?,
-            },
-            4 => Inst::Store {
-                src: Operand::decanon(r)?,
-                addr: Address::decanon(r)?,
-                ty: Ty::decanon(r)?,
-            },
-            5 => Inst::Call {
-                func: FuncId::decanon(r)?,
-                args: Vec::decanon(r)?,
-                dst: Option::decanon(r)?,
-            },
-            6 => Inst::Print {
-                src: Operand::decanon(r)?,
-            },
-            7 => Inst::Nop,
-            _ => return None,
-        })
-    }
-}
+crate::codec_layout!(struct Address {
+    base,
+    offset,
+    index,
+    scale,
+});
 
-impl Decanon for Terminator {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => Terminator::Jump(BlockId::decanon(r)?),
-            1 => Terminator::Branch {
-                cond: Reg::decanon(r)?,
-                taken: BlockId::decanon(r)?,
-                not_taken: BlockId::decanon(r)?,
-            },
-            2 => Terminator::Return(Option::decanon(r)?),
-            _ => return None,
-        })
-    }
-}
+crate::codec_layout!(enum Operand {
+    0 => Reg(reg),
+    1 => ImmInt(v),
+    2 => ImmFloat(v),
+    3 => Mem(addr),
+});
 
-impl Decanon for GlobalInit {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => GlobalInit::Zero,
-            1 => GlobalInit::Iota,
-            2 => GlobalInit::Values(Vec::decanon(r)?),
-            3 => GlobalInit::Random {
-                seed: u64::decanon(r)?,
-                modulus: i64::decanon(r)?,
-            },
-            _ => return None,
-        })
-    }
-}
+crate::codec_layout!(enum Inst {
+    0 => Bin { op, ty, dst, lhs, rhs },
+    1 => Un { op, ty, dst, src },
+    2 => Mov { dst, src },
+    3 => Load { dst, addr, ty },
+    4 => Store { src, addr, ty },
+    5 => Call { func, args, dst },
+    6 => Print { src },
+    7 => Nop,
+});
 
-impl Decanon for Global {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(Global {
-            name: String::decanon(r)?,
-            elems: usize::decanon(r)?,
-            ty: Ty::decanon(r)?,
-            init: GlobalInit::decanon(r)?,
-        })
-    }
-}
+crate::codec_layout!(enum Terminator {
+    0 => Jump(target),
+    1 => Branch { cond, taken, not_taken },
+    2 => Return(value),
+});
 
-impl Decanon for Block {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(Block {
-            insts: Vec::decanon(r)?,
-            term: Terminator::decanon(r)?,
-        })
-    }
-}
+crate::codec_layout!(enum GlobalInit {
+    0 => Zero,
+    1 => Iota,
+    2 => Values(values),
+    3 => Random { seed, modulus },
+});
 
-impl Decanon for Function {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(Function {
-            name: String::decanon(r)?,
-            blocks: Vec::decanon(r)?,
-            entry: BlockId::decanon(r)?,
-            num_regs: u32::decanon(r)?,
-            params: Vec::decanon(r)?,
-            frame_words: u32::decanon(r)?,
-        })
-    }
-}
+crate::codec_layout!(struct Global {
+    name,
+    elems,
+    ty,
+    init,
+});
 
-impl Decanon for Program {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(Program {
-            functions: Vec::decanon(r)?,
-            globals: Vec::decanon(r)?,
-            entry: FuncId::decanon(r)?,
-        })
-    }
-}
+crate::codec_layout!(struct Block {
+    insts,
+    term,
+});
+
+crate::codec_layout!(struct Function {
+    name,
+    blocks,
+    entry,
+    num_regs,
+    params,
+    frame_words,
+});
+
+crate::codec_layout!(struct Program {
+    functions,
+    globals,
+    entry,
+});
 
 #[cfg(test)]
 mod tests {
@@ -710,5 +818,64 @@ mod tests {
         let bytes = to_canon_bytes(&nan);
         let back: f64 = from_canon_bytes(&bytes).expect("decodes");
         assert_eq!(back.to_bits(), nan.to_bits(), "NaN payload preserved");
+    }
+
+    #[test]
+    fn scalars_are_fixed_width_and_strings_length_prefixed() {
+        assert_eq!(to_canon_bytes(&1u64).len(), 8);
+        assert_eq!(to_canon_bytes(&(-1i64)).len(), 8);
+        assert_eq!(to_canon_bytes(&1.5f64).len(), 8);
+        assert_eq!(to_canon_bytes("ab").len(), 8 + 2);
+        assert_ne!(to_canon_bytes("ab"), to_canon_bytes("ba"));
+    }
+
+    #[test]
+    fn nan_payloads_are_distinct() {
+        let a = f64::from_bits(0x7ff8_0000_0000_0000);
+        let b = f64::from_bits(0x7ff8_0000_0000_0001);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "Debug collides");
+        assert_ne!(
+            to_canon_bytes(&a),
+            to_canon_bytes(&b),
+            "canonical encoding must not"
+        );
+    }
+
+    #[test]
+    fn adjacent_strings_do_not_merge() {
+        // Without length prefixes, ("ab", "c") and ("a", "bc") would emit
+        // identical byte streams.
+        let x = (String::from("ab"), String::from("c"));
+        let y = (String::from("a"), String::from("bc"));
+        assert_ne!(to_canon_bytes(&x), to_canon_bytes(&y));
+    }
+
+    #[test]
+    fn enum_variants_are_discriminated() {
+        assert_ne!(
+            to_canon_bytes(&Expr::Int(0)),
+            to_canon_bytes(&Expr::Float(0.0))
+        );
+        assert_ne!(
+            to_canon_bytes(&Value::Int(0)),
+            to_canon_bytes(&Value::Float(0.0))
+        );
+        assert_ne!(
+            to_canon_bytes(&Stmt::Break),
+            to_canon_bytes(&Stmt::Continue)
+        );
+    }
+
+    #[test]
+    fn programs_encode_structurally() {
+        let mut p = HllProgram::new();
+        p.add_global(HllGlobal::zeroed("g", 4));
+        let mut f = HllFunction::new("main");
+        f.body.push(Stmt::Return(Some(Expr::int(1))));
+        p.add_function(f);
+        assert_eq!(to_canon_bytes(&p), to_canon_bytes(&p.clone()));
+        let mut q = p.clone();
+        q.functions[0].body[0] = Stmt::Return(Some(Expr::int(2)));
+        assert_ne!(to_canon_bytes(&p), to_canon_bytes(&q));
     }
 }

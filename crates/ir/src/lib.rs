@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod build;
-pub mod canon;
 pub mod cemit;
 pub mod cfg;
 pub mod codec;

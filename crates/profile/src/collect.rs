@@ -5,9 +5,7 @@
 //! pattern recognizer (§III-B.4) consumes.
 
 use crate::sfgl::{NodeKey, Sfgl, SfglLoop};
-use bsg_ir::canon::{Canon, CanonWrite};
 use bsg_ir::cfg::LoopForest;
-use bsg_ir::codec::{CanonReader, Decanon};
 use bsg_ir::types::{BlockId, FuncId};
 use bsg_ir::visa::{InstClass, MixCategory, OperandKind};
 use bsg_ir::Program;
@@ -845,131 +843,47 @@ impl Observer for Collector<'_> {
     }
 }
 
-impl Canon for SiteKey {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.node.canon(w);
-        self.index.canon(w);
-    }
-}
+bsg_ir::codec_layout!(struct SiteKey {
+    node,
+    index,
+});
 
-impl Canon for BranchProfile {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.executed.canon(w);
-        self.taken.canon(w);
-        self.transitions.canon(w);
-        self.is_loop_back.canon(w);
-    }
-}
+bsg_ir::codec_layout!(struct BranchProfile {
+    executed,
+    taken,
+    transitions,
+    is_loop_back,
+});
 
-impl Canon for MemoryProfile {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.accesses.canon(w);
-        self.misses.canon(w);
-    }
-}
+bsg_ir::codec_layout!(struct MemoryProfile {
+    accesses,
+    misses,
+});
 
-impl Canon for InstructionMix {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.counts.canon(w);
-    }
-}
+bsg_ir::codec_layout!(struct InstructionMix {
+    counts,
+});
 
-impl Canon for InstDescriptor {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.class.canon(w);
-        self.operands.canon(w);
-        self.is_float.canon(w);
-    }
-}
+bsg_ir::codec_layout!(struct InstDescriptor {
+    class,
+    operands,
+    is_float,
+});
 
-impl Canon for ProfileConfig {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.reference_cache.canon(w);
-        self.max_instructions.canon(w);
-    }
-}
+bsg_ir::codec_layout!(struct ProfileConfig {
+    reference_cache,
+    max_instructions,
+});
 
-impl Decanon for ProfileConfig {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(ProfileConfig {
-            reference_cache: CacheConfig::decanon(r)?,
-            max_instructions: u64::decanon(r)?,
-        })
-    }
-}
-
-impl Canon for StatisticalProfile {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.name.canon(w);
-        self.sfgl.canon(w);
-        self.branches.canon(w);
-        self.memory.canon(w);
-        self.mix.canon(w);
-        self.block_code.canon(w);
-        self.dynamic_instructions.canon(w);
-    }
-}
-
-impl Decanon for SiteKey {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(SiteKey {
-            node: NodeKey::decanon(r)?,
-            index: u32::decanon(r)?,
-        })
-    }
-}
-
-impl Decanon for BranchProfile {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(BranchProfile {
-            executed: u64::decanon(r)?,
-            taken: u64::decanon(r)?,
-            transitions: u64::decanon(r)?,
-            is_loop_back: bool::decanon(r)?,
-        })
-    }
-}
-
-impl Decanon for MemoryProfile {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(MemoryProfile {
-            accesses: u64::decanon(r)?,
-            misses: u64::decanon(r)?,
-        })
-    }
-}
-
-impl Decanon for InstructionMix {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(InstructionMix {
-            counts: Decanon::decanon(r)?,
-        })
-    }
-}
-
-impl Decanon for InstDescriptor {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(InstDescriptor {
-            class: InstClass::decanon(r)?,
-            operands: Vec::decanon(r)?,
-            is_float: bool::decanon(r)?,
-        })
-    }
-}
-
-impl Decanon for StatisticalProfile {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(StatisticalProfile {
-            name: String::decanon(r)?,
-            sfgl: Sfgl::decanon(r)?,
-            branches: Decanon::decanon(r)?,
-            memory: Decanon::decanon(r)?,
-            mix: InstructionMix::decanon(r)?,
-            block_code: Decanon::decanon(r)?,
-            dynamic_instructions: u64::decanon(r)?,
-        })
-    }
-}
+bsg_ir::codec_layout!(struct StatisticalProfile {
+    name,
+    sfgl,
+    branches,
+    memory,
+    mix,
+    block_code,
+    dynamic_instructions,
+});
 
 #[cfg(test)]
 mod tests {

@@ -17,8 +17,8 @@
 //!   recognizer when the synthesizer populates basic blocks with C
 //!   statements.
 //!
-//! Profiles are plain data (`serde`-serializable) and can be merged for
-//! benchmark consolidation.
+//! Profiles are plain data: they persist and travel through the canonical
+//! codec ([`bsg_ir::codec`]), and can be merged for benchmark consolidation.
 //!
 //! # Example
 //!

@@ -7,8 +7,6 @@
 //! execute.  Figure 2 of the paper shows an example SFGL and its scaled-down
 //! version; the scale-down operation itself lives in the synthesis crate.
 
-use bsg_ir::canon::{Canon, CanonWrite};
-use bsg_ir::codec::{CanonReader, Decanon};
 use bsg_ir::types::{BlockId, FuncId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -192,65 +190,26 @@ impl Sfgl {
     }
 }
 
-impl Canon for NodeKey {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.func.canon(w);
-        self.block.canon(w);
-    }
-}
+bsg_ir::codec_layout!(struct NodeKey {
+    func,
+    block,
+});
 
-impl Canon for SfglLoop {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.header.canon(w);
-        self.blocks.canon(w);
-        self.entries.canon(w);
-        self.iterations.canon(w);
-        self.depth.canon(w);
-        self.parent.canon(w);
-    }
-}
+bsg_ir::codec_layout!(struct SfglLoop {
+    header,
+    blocks,
+    entries,
+    iterations,
+    depth,
+    parent,
+});
 
-impl Canon for Sfgl {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.nodes.canon(w);
-        self.edges.canon(w);
-        self.loops.canon(w);
-        self.calls.canon(w);
-    }
-}
-
-impl Decanon for NodeKey {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(NodeKey {
-            func: u32::decanon(r)?,
-            block: u32::decanon(r)?,
-        })
-    }
-}
-
-impl Decanon for SfglLoop {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(SfglLoop {
-            header: NodeKey::decanon(r)?,
-            blocks: Decanon::decanon(r)?,
-            entries: u64::decanon(r)?,
-            iterations: u64::decanon(r)?,
-            depth: usize::decanon(r)?,
-            parent: Option::decanon(r)?,
-        })
-    }
-}
-
-impl Decanon for Sfgl {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(Sfgl {
-            nodes: Decanon::decanon(r)?,
-            edges: Decanon::decanon(r)?,
-            loops: Vec::decanon(r)?,
-            calls: Decanon::decanon(r)?,
-        })
-    }
-}
+bsg_ir::codec_layout!(struct Sfgl {
+    nodes,
+    edges,
+    loops,
+    calls,
+});
 
 #[cfg(test)]
 mod tests {

@@ -153,58 +153,22 @@ pub struct DiskStats {
     pub per_kind: [KindStats; 4],
 }
 
-impl bsg_ir::canon::Canon for KindStats {
-    fn canon(&self, w: &mut dyn bsg_ir::canon::CanonWrite) {
-        self.hits.canon(w);
-        self.writes.canon(w);
-        self.bytes_written.canon(w);
-    }
-}
+bsg_ir::codec_layout!(struct KindStats {
+    hits,
+    writes,
+    bytes_written,
+});
 
-impl bsg_ir::codec::Decanon for KindStats {
-    fn decanon(r: &mut bsg_ir::codec::CanonReader<'_>) -> Option<Self> {
-        Some(KindStats {
-            hits: u64::decanon(r)?,
-            writes: u64::decanon(r)?,
-            bytes_written: u64::decanon(r)?,
-        })
-    }
-}
-
-impl bsg_ir::canon::Canon for DiskStats {
-    fn canon(&self, w: &mut dyn bsg_ir::canon::CanonWrite) {
-        self.hits.canon(w);
-        self.misses.canon(w);
-        self.writes.canon(w);
-        self.corrupt.canon(w);
-        self.evicted.canon(w);
-        self.io_errors.canon(w);
-        self.degraded.canon(w);
-        for k in &self.per_kind {
-            k.canon(w);
-        }
-    }
-}
-
-impl bsg_ir::codec::Decanon for DiskStats {
-    fn decanon(r: &mut bsg_ir::codec::CanonReader<'_>) -> Option<Self> {
-        Some(DiskStats {
-            hits: u64::decanon(r)?,
-            misses: u64::decanon(r)?,
-            writes: u64::decanon(r)?,
-            corrupt: u64::decanon(r)?,
-            evicted: u64::decanon(r)?,
-            io_errors: u64::decanon(r)?,
-            degraded: bool::decanon(r)?,
-            per_kind: [
-                KindStats::decanon(r)?,
-                KindStats::decanon(r)?,
-                KindStats::decanon(r)?,
-                KindStats::decanon(r)?,
-            ],
-        })
-    }
-}
+bsg_ir::codec_layout!(struct DiskStats {
+    hits,
+    misses,
+    writes,
+    corrupt,
+    evicted,
+    io_errors,
+    degraded,
+    per_kind,
+});
 
 /// Per-kind atomic counters backing [`KindStats`].
 #[derive(Default)]

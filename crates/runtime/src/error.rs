@@ -23,8 +23,7 @@
 //! (`BuildFailed::kind`, `Io::op`) are interned back to the runtime's known
 //! strings on decode, with a generic fallback for values minted elsewhere.
 
-use bsg_ir::canon::{Canon, CanonWrite};
-use bsg_ir::codec::{CanonReader, Decanon};
+use bsg_ir::codec::{Canon, CanonReader, CanonWrite, Decanon};
 use std::any::Any;
 use std::fmt;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -138,6 +137,32 @@ impl fmt::Display for BsgError {
 
 impl std::error::Error for BsgError {}
 
+/// Interns a decoded `BuildFailed::kind` back to the store's `&'static`
+/// kind strings; unknown values fall back to `"artifact"`.
+fn intern_kind(s: &str) -> &'static str {
+    match s {
+        "compiled" => "compiled",
+        "profile" => "profile",
+        "synthesis" => "synthesis",
+        "c-text" => "c-text",
+        _ => "artifact",
+    }
+}
+
+/// Interns a decoded `Io::op` back to the runtime's known operation names;
+/// unknown values fall back to `"io"`.
+fn intern_op(s: &str) -> &'static str {
+    match s {
+        "read" => "read",
+        "write" => "write",
+        "rename" => "rename",
+        "open" => "open",
+        "remove" => "remove",
+        _ => "io",
+    }
+}
+
+// Hand-written: the decode re-interns the `&'static str` fields.
 impl Canon for BsgError {
     fn canon(&self, w: &mut dyn CanonWrite) {
         match self {
@@ -181,31 +206,6 @@ impl Canon for BsgError {
                 limit.canon(w);
             }
         }
-    }
-}
-
-/// Interns a decoded `BuildFailed::kind` back to the store's `&'static`
-/// kind strings; unknown values fall back to `"artifact"`.
-fn intern_kind(s: &str) -> &'static str {
-    match s {
-        "compiled" => "compiled",
-        "profile" => "profile",
-        "synthesis" => "synthesis",
-        "c-text" => "c-text",
-        _ => "artifact",
-    }
-}
-
-/// Interns a decoded `Io::op` back to the runtime's known operation names;
-/// unknown values fall back to `"io"`.
-fn intern_op(s: &str) -> &'static str {
-    match s {
-        "read" => "read",
-        "write" => "write",
-        "rename" => "rename",
-        "open" => "open",
-        "remove" => "remove",
-        _ => "io",
     }
 }
 

@@ -11,7 +11,7 @@
 //!
 //! Content addressing: the key starts from [`SourceId::of`], a 128-bit
 //! FNV-1a hash of the value's **canonical byte encoding**
-//! ([`bsg_ir::canon::Canon`]: discriminant-tagged, length-prefixed,
+//! ([`bsg_ir::codec::Canon`]: discriminant-tagged, length-prefixed,
 //! `f64::to_bits` floats).  Two workloads with identical structure share
 //! artifacts; any structural change — including ones invisible to a `Debug`
 //! rendering, like differing NaN payloads — produces a new key.  (An earlier
@@ -41,9 +41,9 @@
 use crate::disk::{DiskCache, DiskStats, KindStats, KINDS};
 use crate::error::{lock_unpoisoned, panic_message, wait_unpoisoned, BsgError, BsgResult};
 use bsg_compiler::{compile, CompileOptions};
-use bsg_ir::canon::{Canon, CanonWrite};
 use bsg_ir::cemit;
 use bsg_ir::codec::{from_canon_bytes, to_canon_bytes};
+use bsg_ir::codec::{Canon, CanonWrite};
 use bsg_ir::hll::HllProgram;
 use bsg_ir::Program;
 use bsg_profile::{profile_image, ProfileConfig, StatisticalProfile};
@@ -84,7 +84,7 @@ impl CanonWrite for FnvWriter {
 /// The content address of a source artifact: a 128-bit structural hash.
 ///
 /// Derived from the value's canonical byte encoding
-/// ([`bsg_ir::canon::Canon`]): every enum variant is discriminant-tagged,
+/// ([`bsg_ir::codec::Canon`]): every enum variant is discriminant-tagged,
 /// every collection length-prefixed, and floats hashed by bit pattern, so
 /// the encoding (and hence the address) is injective up to hash collisions
 /// and deterministic across processes and platforms.
@@ -393,37 +393,18 @@ impl fmt::Display for StoreStats {
     }
 }
 
-impl Canon for StoreStats {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.compiled_builds.canon(w);
-        self.compiled_hits.canon(w);
-        self.profile_builds.canon(w);
-        self.profile_hits.canon(w);
-        self.c_text_builds.canon(w);
-        self.c_text_hits.canon(w);
-        self.synthesis_builds.canon(w);
-        self.synthesis_hits.canon(w);
-        self.build_failures.canon(w);
-        self.disk.canon(w);
-    }
-}
-
-impl bsg_ir::codec::Decanon for StoreStats {
-    fn decanon(r: &mut bsg_ir::codec::CanonReader<'_>) -> Option<Self> {
-        Some(StoreStats {
-            compiled_builds: u64::decanon(r)?,
-            compiled_hits: u64::decanon(r)?,
-            profile_builds: u64::decanon(r)?,
-            profile_hits: u64::decanon(r)?,
-            c_text_builds: u64::decanon(r)?,
-            c_text_hits: u64::decanon(r)?,
-            synthesis_builds: u64::decanon(r)?,
-            synthesis_hits: u64::decanon(r)?,
-            build_failures: u64::decanon(r)?,
-            disk: DiskStats::decanon(r)?,
-        })
-    }
-}
+bsg_ir::codec_layout!(struct StoreStats {
+    compiled_builds,
+    compiled_hits,
+    profile_builds,
+    profile_hits,
+    c_text_builds,
+    c_text_hits,
+    synthesis_builds,
+    synthesis_hits,
+    build_failures,
+    disk,
+});
 
 /// The thread-safe, content-addressed artifact cache (see the module docs).
 pub struct ArtifactStore {

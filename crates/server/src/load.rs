@@ -160,13 +160,15 @@ pub struct PhaseReport {
     pub p99_ms: f64,
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice (0 for empty).
+/// Nearest-rank percentile over an ascending-sorted slice (0 for empty):
+/// the sample at 1-based rank `ceil(q/100 · n)`.
 pub fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
+    let n = sorted_ms.len();
+    if n == 0 {
         return 0.0;
     }
-    let rank = (q / 100.0 * (sorted_ms.len() - 1) as f64).round() as usize;
-    sorted_ms[rank.min(sorted_ms.len() - 1)]
+    let rank = ((q / 100.0 * n as f64).ceil() as usize).clamp(1, n);
+    sorted_ms[rank - 1]
 }
 
 /// Runs one phase: `clients` threads, each issuing `requests_per_client`
@@ -753,9 +755,10 @@ mod tests {
     #[test]
     fn percentiles_are_nearest_rank() {
         let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&sorted, 50.0), 51.0);
+        assert_eq!(percentile(&sorted, 50.0), 50.0);
         assert_eq!(percentile(&sorted, 95.0), 95.0);
         assert_eq!(percentile(&sorted, 99.0), 99.0);
+        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 50.0), 2.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
         assert_eq!(percentile(&[7.0], 99.0), 7.0);
     }

@@ -1,5 +1,5 @@
 //! The bsg-server wire protocol: length-prefixed, checksummed, versioned
-//! frames with canonical ([`bsg_ir::canon`]) payloads.
+//! frames with canonical ([`bsg_ir::codec`]) payloads.
 //!
 //! A frame is a 33-byte header followed by the payload and a trailing
 //! newline delimiter:
@@ -23,18 +23,18 @@
 //! instead of silently decoding garbage.
 //!
 //! Payloads reuse the workspace's canonical codec end to end: requests and
-//! responses are [`Canon`]-encoded exactly like artifact-store disk
-//! payloads, and a failed request's reply carries the canonical encoding of
-//! its [`BsgError`] — the same error value the in-process harness would
-//! have seen, reconstructed on the client side by [`Decanon`].
+//! responses are [`Canon`](bsg_ir::codec::Canon)-encoded exactly like
+//! artifact-store disk payloads, and a failed request's reply carries the
+//! canonical encoding of its [`BsgError`] — the same error value the
+//! in-process harness would have seen, reconstructed on the client side by
+//! [`Decanon`](bsg_ir::codec::Decanon).
 //!
 //! Decoding is total: every reader returns structured errors, never
 //! panics, so a malicious or truncated byte stream costs the daemon at most
 //! one connection.
 
 use bsg_compiler::CompileOptions;
-use bsg_ir::canon::Canon;
-use bsg_ir::codec::{from_canon_bytes, to_canon_bytes, CanonReader, Decanon};
+use bsg_ir::codec::{from_canon_bytes, to_canon_bytes};
 use bsg_ir::hll::HllProgram;
 use bsg_profile::{ProfileConfig, StatisticalProfile};
 use bsg_runtime::{BsgError, StoreStats};
@@ -437,35 +437,17 @@ pub struct ServerStats {
     pub store: StoreStats,
 }
 
-impl Canon for ServerStats {
-    fn canon(&self, w: &mut dyn bsg_ir::canon::CanonWrite) {
-        self.workers.canon(w);
-        self.requests_served.canon(w);
-        self.batches.canon(w);
-        self.protocol_errors.canon(w);
-        self.queue_depth.canon(w);
-        self.max_queue_depth.canon(w);
-        self.shed_count.canon(w);
-        self.preempted_count.canon(w);
-        self.store.canon(w);
-    }
-}
-
-impl Decanon for ServerStats {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(ServerStats {
-            workers: u64::decanon(r)?,
-            requests_served: u64::decanon(r)?,
-            batches: u64::decanon(r)?,
-            protocol_errors: u64::decanon(r)?,
-            queue_depth: u64::decanon(r)?,
-            max_queue_depth: u64::decanon(r)?,
-            shed_count: u64::decanon(r)?,
-            preempted_count: u64::decanon(r)?,
-            store: StoreStats::decanon(r)?,
-        })
-    }
-}
+bsg_ir::codec_layout!(struct ServerStats {
+    workers,
+    requests_served,
+    batches,
+    protocol_errors,
+    queue_depth,
+    max_queue_depth,
+    shed_count,
+    preempted_count,
+    store,
+});
 
 /// One successful reply body.  Failed requests reply with a canonical
 /// [`BsgError`] under [`KIND_ERR`] instead.
@@ -489,53 +471,14 @@ pub enum Response {
     Shutdown,
 }
 
-impl Canon for Response {
-    fn canon(&self, w: &mut dyn bsg_ir::canon::CanonWrite) {
-        match self {
-            Response::Profile(p) => {
-                w.write(&[0]);
-                p.canon(w);
-            }
-            Response::Synthesis(s) => {
-                w.write(&[1]);
-                s.canon(w);
-            }
-            Response::Measure {
-                dynamic_instructions,
-            } => {
-                w.write(&[2]);
-                dynamic_instructions.canon(w);
-            }
-            Response::Figure(text) => {
-                w.write(&[3]);
-                text.canon(w);
-            }
-            Response::Stats(stats) => {
-                w.write(&[4]);
-                stats.canon(w);
-            }
-            Response::Shutdown => {
-                w.write(&[5]);
-            }
-        }
-    }
-}
-
-impl Decanon for Response {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        match r.byte()? {
-            0 => Some(Response::Profile(StatisticalProfile::decanon(r)?)),
-            1 => Some(Response::Synthesis(TargetedSynthesis::decanon(r)?)),
-            2 => Some(Response::Measure {
-                dynamic_instructions: u64::decanon(r)?,
-            }),
-            3 => Some(Response::Figure(String::decanon(r)?)),
-            4 => Some(Response::Stats(ServerStats::decanon(r)?)),
-            5 => Some(Response::Shutdown),
-            _ => None,
-        }
-    }
-}
+bsg_ir::codec_layout!(enum Response {
+    0 => Profile(profile),
+    1 => Synthesis(synthesis),
+    2 => Measure { dynamic_instructions },
+    3 => Figure(text),
+    4 => Stats(stats),
+    5 => Shutdown,
+});
 
 /// Encodes a success reply frame for `request_id`.
 pub fn ok_frame(request_id: u64, response: &Response) -> Frame {

@@ -238,23 +238,11 @@ impl crate::exec::Observer for CacheObserver {
     }
 }
 
-impl bsg_ir::canon::Canon for CacheConfig {
-    fn canon(&self, w: &mut dyn bsg_ir::canon::CanonWrite) {
-        self.size_bytes.canon(w);
-        self.line_bytes.canon(w);
-        self.associativity.canon(w);
-    }
-}
-
-impl bsg_ir::codec::Decanon for CacheConfig {
-    fn decanon(r: &mut bsg_ir::codec::CanonReader<'_>) -> Option<Self> {
-        Some(CacheConfig {
-            size_bytes: bsg_ir::codec::Decanon::decanon(r)?,
-            line_bytes: bsg_ir::codec::Decanon::decanon(r)?,
-            associativity: bsg_ir::codec::Decanon::decanon(r)?,
-        })
-    }
-}
+bsg_ir::codec_layout!(struct CacheConfig {
+    size_bytes,
+    line_bytes,
+    associativity,
+});
 
 #[cfg(test)]
 mod tests {

@@ -28,8 +28,7 @@
 //!    observer events exactly (see `image`).
 //! 4. **Monomorphization**: [`execute`] is generic over the observer type, so
 //!    observer callbacks inline into the dispatch loop; with [`NullObserver`]
-//!    the event plumbing compiles away entirely.  [`execute_dyn`] remains for
-//!    callers that only have a `&mut dyn Observer`.
+//!    the event plumbing compiles away entirely.
 //!
 //! Call frames come from a bounded frame pool and call arguments are written
 //! straight into the callee's registers, so steady-state execution does not
@@ -267,16 +266,6 @@ pub fn execute<O: Observer + ?Sized>(
 ) -> ExecOutcome {
     let image = ExecImage::new(program);
     execute_image(&image, observer, config)
-}
-
-/// Thin `dyn`-dispatch wrapper over [`execute`] for callers that only have a
-/// trait object (kept for API compatibility with the pre-predecode executor).
-pub fn execute_dyn(
-    program: &Program,
-    observer: &mut dyn Observer,
-    config: &ExecConfig,
-) -> ExecOutcome {
-    execute(program, observer, config)
 }
 
 /// Executes a prebuilt [`ExecImage`] on the predecoded engine.
@@ -2030,11 +2019,6 @@ impl<'a> LegacyMachine<'a> {
     }
 }
 
-/// Convenience: the dynamic instruction count of a full run.
-pub fn dynamic_instruction_count(program: &Program) -> u64 {
-    run(program).dynamic_instructions
-}
-
 /// An observer that simply counts events; useful as a cheap smoke check and
 /// in tests.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -2563,12 +2547,12 @@ mod tests {
     }
 
     #[test]
-    fn dyn_wrapper_matches_generic_path() {
+    fn dyn_observer_matches_generic_path() {
         let p = loop_program();
         let mut a = CountingObserver::default();
         let mut b = CountingObserver::default();
         let out_a = execute(&p, &mut a, &ExecConfig::default());
-        let out_b = execute_dyn(&p, &mut b, &ExecConfig::default());
+        let out_b = execute(&p, &mut b as &mut dyn Observer, &ExecConfig::default());
         assert_eq!(out_a, out_b);
         assert_eq!(a, b);
     }

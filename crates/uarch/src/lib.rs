@@ -74,8 +74,8 @@ pub use branch::{Bimodal, BranchStats, GShare, Hybrid, Predictor};
 pub use cache::{Cache, CacheConfig, CacheStats, CacheSweep};
 pub use cancel::CancelToken;
 pub use exec::{
-    execute, execute_dyn, execute_image, execute_legacy, run, ExecConfig, ExecOutcome, InstEvent,
-    InstSite, Observer,
+    execute, execute_image, execute_legacy, run, ExecConfig, ExecOutcome, InstEvent, InstSite,
+    Observer,
 };
 pub use image::{ExecImage, SiteMeta};
 pub use machine::{MachineConfig, MachineIsa, MachineResult};
