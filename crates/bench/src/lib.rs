@@ -900,29 +900,48 @@ pub fn fig10(artifacts: &[WorkloadArtifacts]) -> String {
     out
 }
 
+/// Groups the roster `machines` by the binary each one runs: compiles the
+/// unit once per ISA of the roster and merges ISAs that lower it to an
+/// identical program.  Returns each distinct binary with the roster indices
+/// that run it, in order of first appearance.  At `-O0`, where x86, x86-64
+/// and IA-64 lower every kernel identically, Table III forms one group.
+pub fn binary_groups(
+    machines: &[MachineConfig],
+    compiled_for: &dyn Fn(MachineIsa) -> Arc<CompiledArtifact>,
+) -> Vec<(Arc<CompiledArtifact>, Vec<usize>)> {
+    let mut groups: Vec<(Arc<CompiledArtifact>, Vec<usize>)> = Vec::new();
+    let mut group_of: Vec<(MachineIsa, usize)> = Vec::new();
+    for (i, m) in machines.iter().enumerate() {
+        let g = if let Some(&(_, g)) = group_of.iter().find(|(isa, _)| *isa == m.isa) {
+            g
+        } else {
+            let art = compiled_for(m.isa);
+            let g = groups
+                .iter()
+                .position(|(a, _)| a.program == art.program)
+                .unwrap_or(groups.len());
+            if g == groups.len() {
+                groups.push((art, Vec::new()));
+            }
+            group_of.push((m.isa, g));
+            g
+        };
+        groups[g].1.push(i);
+    }
+    groups
+}
+
 /// Times one compiled unit on every machine of `machines`, returning
-/// `time_ns` in roster order.  The roster is grouped by ISA — machines
-/// compile per ISA, so only same-ISA machines may legally share a binary —
-/// and each group's image is timed with **one** functional execution
-/// ([`MachineConfig::run_batch`]): Table III's five machines cost three
-/// executions instead of five, and each (workload, level) unit executes
-/// exactly once per distinct compiled image.
-fn machine_axis_times(
+/// `time_ns` in roster order, with one functional execution per distinct
+/// binary ([`binary_groups`], [`MachineConfig::run_batch`]).  This is exact:
+/// a lane's result depends only on the image and its [`PipelineConfig`], and
+/// identical programs decode to identical images.
+pub fn machine_axis_times(
     machines: &[MachineConfig],
     compiled_for: &dyn Fn(MachineIsa) -> Arc<CompiledArtifact>,
 ) -> Vec<f64> {
     let mut times = vec![0.0; machines.len()];
-    let mut isas: Vec<MachineIsa> = Vec::new();
-    for m in machines {
-        if !isas.contains(&m.isa) {
-            isas.push(m.isa);
-        }
-    }
-    for isa in isas {
-        let art = compiled_for(isa);
-        let idxs: Vec<usize> = (0..machines.len())
-            .filter(|&i| machines[i].isa == isa)
-            .collect();
+    for (art, idxs) in binary_groups(machines, compiled_for) {
         let group: Vec<MachineConfig> = idxs.iter().map(|&i| machines[i].clone()).collect();
         for (&i, r) in idxs
             .iter()
@@ -949,11 +968,11 @@ fn fig11_over(artifacts: &[WorkloadArtifacts], machines: &[MachineConfig], title
 
     // Axes: level × (workload | consolidated clone) — one **batched** task
     // per point, each timing the whole machine roster from one execution
-    // per ISA.  The machine axis no longer multiplies the task count; the
-    // 4 × (N + 1) grid still load-balances across workloads, and every row
-    // of the rendered figure reads from the same measured values the
-    // per-cell sharding produced (bit-identical lanes, proven against the
-    // scalar oracle by the batched differential suite).
+    // per distinct binary.  The machine axis no longer multiplies the task
+    // count; the 4 × (N + 1) grid still load-balances across workloads, and
+    // every row of the rendered figure reads from the same measured values
+    // the per-cell sharding produced (bit-identical lanes, proven against
+    // the scalar oracle by the batched differential suite).
     let group: Vec<Option<&WorkloadArtifacts>> = artifacts
         .iter()
         .map(Some)
@@ -1013,7 +1032,7 @@ pub fn fig11(artifacts: &[WorkloadArtifacts]) -> String {
 
 /// Figure 11 over the extended machine roster ([`MachineConfig::table3_extended`]):
 /// the batched path makes the two extra machines near-free — they ride the
-/// executions their ISA groups already pay for.
+/// executions their binaries already pay for.
 pub fn fig11x(artifacts: &[WorkloadArtifacts]) -> String {
     fig11_over(
         artifacts,

@@ -10,22 +10,29 @@
 //! shared L1/L2 state and the in-order model).  On top of raw lane parity,
 //! Figure 11 text is byte-identical at any worker count, and the static
 //! verifier is observer-agnostic — running an image under the batched model
-//! changes nothing the reference/replay passes look at.
+//! changes nothing the reference/replay passes look at.  Figure 11's machine
+//! axis, which shares one execution among every machine running the same
+//! binary, equals one run per machine on its own ISA's image.
 //!
 //! Tier-1 covers the small-input half of the registry (18 workloads); the
 //! tier-2 job (`BSG_LARGE_TESTS=1`) extends the same sweep to the large
 //! inputs for the full 36-workload registry.
 
-use bsg_bench::{fig11, WorkloadArtifacts};
+use bsg_bench::{
+    binary_groups, fig11, machine_axis_times, target_isa_for, WorkloadArtifacts,
+    SYNTH_TARGET_INSTRUCTIONS,
+};
 use bsg_compiler::{CompileOptions, OptLevel};
-use bsg_runtime::{with_workers, ArtifactStore};
+use bsg_runtime::{with_workers, ArtifactStore, CompiledArtifact, SourceId};
+use bsg_synth::SynthesisConfig;
 use bsg_uarch::batch::simulate_image_batch;
 use bsg_uarch::exec::{execute_image, ExecConfig};
 use bsg_uarch::image::ExecImage;
-use bsg_uarch::machine::MachineConfig;
+use bsg_uarch::machine::{MachineConfig, MachineIsa};
 use bsg_uarch::pipeline::{simulate_image, PipelineConfig, PipelineResult, PipelineSim};
 use bsg_uarch::verify::verify_image;
 use bsg_workloads::{suite, InputSize, Workload};
+use std::sync::Arc;
 
 fn roster_configs() -> Vec<PipelineConfig> {
     MachineConfig::table3_extended()
@@ -135,5 +142,60 @@ fn batched_fig11_text_is_deterministic_across_worker_counts() {
             text, reference,
             "batched fig11 diverges at {workers} workers"
         );
+    }
+}
+
+/// The grouped machine axis equals one [`MachineConfig::run_image`] per
+/// machine on its own ISA's image, bit for bit, for every small-suite kernel
+/// and the consolidated clone at every level over the extended roster; and
+/// Table III at `-O0` runs a single binary for every unit.
+#[test]
+fn grouped_machine_axis_equals_one_run_per_machine() {
+    let artifacts: Vec<WorkloadArtifacts> = suite(InputSize::Small)
+        .into_iter()
+        .map(|w| WorkloadArtifacts::prepare(w, SYNTH_TARGET_INSTRUCTIONS))
+        .collect();
+    let merged = bsg_synth::consolidate(artifacts.iter().map(|a| a.profile.as_ref()));
+    let consolidated = ArtifactStore::global().synthesis(
+        &merged,
+        &SynthesisConfig::default(),
+        SYNTH_TARGET_INSTRUCTIONS * 2,
+    );
+    let consolidated_id = SourceId::of(&consolidated.benchmark.hll);
+    let table3 = MachineConfig::table3();
+    let extended = MachineConfig::table3_extended();
+    for level in OptLevel::ALL {
+        let units = artifacts.iter().map(Some).chain(std::iter::once(None));
+        for unit in units {
+            let name = unit.map_or("consolidated clone", |a| a.workload.name.as_str());
+            let compiled_for = |isa: MachineIsa| -> Arc<CompiledArtifact> {
+                let options = CompileOptions::new(level, target_isa_for(isa));
+                match unit {
+                    Some(a) => a.compiled(&options, false),
+                    None => ArtifactStore::global().compiled_keyed(
+                        consolidated_id,
+                        &consolidated.benchmark.hll,
+                        &options,
+                    ),
+                }
+            };
+            let grouped = machine_axis_times(&extended, &compiled_for);
+            for (m, t) in extended.iter().zip(&grouped) {
+                let alone = m.run_image(&compiled_for(m.isa).image).time_ns;
+                assert_eq!(
+                    t.to_bits(),
+                    alone.to_bits(),
+                    "{name} {level} on {}: grouped {t} vs alone {alone}",
+                    m.name
+                );
+            }
+            if level == OptLevel::O0 {
+                assert_eq!(
+                    binary_groups(&table3, &compiled_for).len(),
+                    1,
+                    "{name}: Table III at -O0 runs one binary"
+                );
+            }
+        }
     }
 }

@@ -6,6 +6,13 @@
 //! single configuration; [`CacheSweep`] runs a whole family of configurations
 //! over one address stream in a single pass, like the single-pass
 //! multi-configuration simulation the paper refers to (Hill & Smith).
+//!
+//! Every timing model, sweep and profile accesses a [`Cache`] per memory
+//! operation, so its layout is flat: one tag array for all sets, each set a
+//! contiguous LRU-ordered slice updated in place (no per-set allocation, no
+//! per-access `remove` + `push`).  Its reference is the independent LRU in
+//! `tests/cache_oracle.rs`, not the scalar pipeline model, which shares
+//! this type.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -31,7 +38,9 @@ impl CacheConfig {
         }
     }
 
-    /// Number of sets.
+    /// Number of sets: `size_bytes / (line_bytes × associativity)`, which
+    /// need not be a power of two (a 24 KB, 4-way cache of 32-byte lines
+    /// has 192 sets).
     ///
     /// # Panics
     ///
@@ -44,7 +53,7 @@ impl CacheConfig {
         );
         let sets = self.size_bytes / (self.line_bytes * self.associativity);
         assert!(sets > 0, "cache smaller than one way");
-        sets.next_power_of_two()
+        sets
     }
 }
 
@@ -86,35 +95,61 @@ impl CacheStats {
 }
 
 /// A set-associative LRU cache.
+///
+/// The tags of every set live in one flat, zero-initialised `sets × ways`
+/// array; set `s` owns the slice `s * ways .. (s + 1) * ways`, ordered from
+/// least to most recently used.  A hit rotates the found tag to the end of
+/// its slice; a miss shifts the slice left by one — dropping the LRU tag,
+/// or an empty slot while the set is still filling — and writes the new
+/// tag at the end.  Each slot holds `tag + 1`, so the zero of an empty
+/// slot never equals a resident tag (see [`Cache::new`] for why `tag + 1`
+/// cannot overflow).
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// `sets[set]` holds up to `associativity` tags, most recently used last.
-    sets: Vec<Vec<u64>>,
+    /// `sets × ways` slots holding `tag + 1` (0 = empty), LRU first per set.
+    slots: Vec<u64>,
+    ways: usize,
     stats: CacheStats,
     /// `log2(line_bytes)` when the line size is a power of two (it always is
     /// for the paper's configurations); avoids a 64-bit division per access.
     line_shift: Option<u32>,
-    /// `sets.len() - 1`; the set count is always a power of two.
+    /// `log2(sets)` when the set count is a power of two: the set is then
+    /// `line & set_mask` and the tag `line >> set_shift`.  Otherwise the set
+    /// is `line % sets` and the tag `line / sets`.
+    set_shift: Option<u32>,
+    sets: u64,
+    /// `sets - 1`.
     set_mask: u64,
-    set_shift: u32,
 }
 
 impl Cache {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a degenerate configuration (see [`CacheConfig::sets`]), and
+    /// on a single-set cache of 1-byte lines: its tags span all of `u64`,
+    /// leaving no value free to mark an empty slot.  Every other
+    /// configuration has `line_bytes × sets >= 2`, so a tag is at most
+    /// `u64::MAX / 2` and `tag + 1` never overflows.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
-        let line_shift = config
-            .line_bytes
-            .is_power_of_two()
-            .then(|| config.line_bytes.trailing_zeros());
+        assert!(
+            config.line_bytes > 1 || sets > 1,
+            "single-set cache of 1-byte lines"
+        );
+        let ways = config.associativity as usize;
+        let pow2_shift = |n: u64| n.is_power_of_two().then(|| n.trailing_zeros());
         Cache {
             config,
-            sets: vec![Vec::new(); sets as usize],
+            slots: vec![0; sets as usize * ways],
+            ways,
             stats: CacheStats::default(),
-            line_shift,
+            line_shift: pow2_shift(config.line_bytes),
+            set_shift: pow2_shift(sets),
+            sets,
             set_mask: sets - 1,
-            set_shift: sets.trailing_zeros(),
         }
     }
 
@@ -126,40 +161,42 @@ impl Cache {
     /// Accesses `addr` (byte address); returns `true` on a hit.  Writes are
     /// modeled as write-allocate, so reads and writes behave identically for
     /// hit-rate purposes.
+    // Inlined: every caller (observers, timing models, the profiler) sits in
+    // another crate or codegen unit, and the call costs as much as a hit.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
         let line = match self.line_shift {
             Some(shift) => addr >> shift,
             None => addr / self.config.line_bytes,
         };
-        let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_shift;
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&t| t == tag) {
-            ways.remove(pos);
-            ways.push(tag);
+        let (set, tag) = match self.set_shift {
+            Some(shift) => (line & self.set_mask, line >> shift),
+            None => (line % self.sets, line / self.sets),
+        };
+        let key = tag + 1;
+        let start = set as usize * self.ways;
+        let ways = &mut self.slots[start..start + self.ways];
+        let last = ways.len() - 1;
+        // Search from the MRU end: temporal locality makes recent tags the
+        // likeliest hits, and a hit on the MRU tag moves nothing.
+        if ways[last] == key {
             self.stats.hits += 1;
-            true
-        } else {
-            if ways.len() as u64 >= self.config.associativity {
-                ways.remove(0);
-            }
-            ways.push(tag);
-            false
+            return true;
         }
+        let hit = ways[..last].iter().rposition(|&k| k == key);
+        let from = hit.unwrap_or(0);
+        for i in from..last {
+            ways[i] = ways[i + 1];
+        }
+        ways[last] = key;
+        self.stats.hits += hit.is_some() as u64;
+        hit.is_some()
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Clears contents and statistics.
-    pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
-        self.stats = CacheStats::default();
     }
 }
 
@@ -177,12 +214,8 @@ impl CacheSweep {
         }
     }
 
-    /// The 1 KB – 32 KB sweep used in Figures 7 and 8 of the paper.
-    pub fn paper_sweep() -> Self {
-        CacheSweep::new([1, 2, 4, 8, 16, 32].map(CacheConfig::kb))
-    }
-
     /// Feeds one access to every cache in the sweep.
+    #[inline]
     pub fn access(&mut self, addr: u64) {
         for c in &mut self.caches {
             c.access(addr);
@@ -195,11 +228,6 @@ impl CacheSweep {
             .iter()
             .map(|c| (c.config(), c.stats()))
             .collect()
-    }
-
-    /// The caches themselves (e.g. to reset them).
-    pub fn caches_mut(&mut self) -> &mut [Cache] {
-        &mut self.caches
     }
 }
 
@@ -218,16 +246,10 @@ impl CacheObserver {
             sweep: CacheSweep::new(configs),
         }
     }
-
-    /// Creates the 1–32 KB paper sweep observer.
-    pub fn paper_sweep() -> Self {
-        CacheObserver {
-            sweep: CacheSweep::paper_sweep(),
-        }
-    }
 }
 
 impl crate::exec::Observer for CacheObserver {
+    #[inline]
     fn on_inst(&mut self, event: &crate::exec::InstEvent) {
         if let Some(a) = event.mem_read {
             self.sweep.access(a);
@@ -254,6 +276,32 @@ mod tests {
         assert_eq!(c.size_bytes, 8192);
         assert_eq!(c.sets(), 64);
         assert!(!c.to_string().is_empty());
+        assert_eq!(CacheConfig::kb(24).sets(), 192, "not rounded up to 256");
+    }
+
+    #[test]
+    fn non_power_of_two_sets_index_by_modulo() {
+        // 3 sets of one way: lines 0 and 3 share set 0, line 1 does not.
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 96,
+            line_bytes: 32,
+            associativity: 1,
+        });
+        assert!(!c.access(0));
+        assert!(!c.access(32));
+        assert!(c.access(0), "line 1 maps to set 1");
+        assert!(!c.access(96), "line 3 evicts line 0 from set 0");
+        assert!(!c.access(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "single-set cache of 1-byte lines")]
+    fn full_width_tags_are_rejected() {
+        Cache::new(CacheConfig {
+            size_bytes: 4,
+            line_bytes: 1,
+            associativity: 4,
+        });
     }
 
     #[test]
@@ -339,16 +387,6 @@ mod tests {
                 w[1].0
             );
         }
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut c = Cache::new(CacheConfig::kb(1));
-        c.access(0);
-        c.access(0);
-        c.reset();
-        assert_eq!(c.stats().accesses, 0);
-        assert!(!c.access(0), "contents were cleared");
     }
 
     #[test]

@@ -136,10 +136,10 @@ impl MachineConfig {
 
     /// Times one compiled image on **many** machine models with a single
     /// functional execution ([`simulate_image_batch`]), in roster order, at
-    /// roughly the cost of one.  Callers group machines by ISA
+    /// roughly the cost of one.  Callers group machines by binary
     /// themselves — every machine in the batch times the *same* image, so
-    /// the grouping decision (which machines may legally share a binary)
-    /// stays with the layer that compiles.
+    /// the grouping decision (which machines run identical code) stays
+    /// with the layer that compiles.
     pub fn run_batch(machines: &[MachineConfig], image: &ExecImage) -> Vec<MachineResult> {
         let configs: Vec<PipelineConfig> = machines.iter().map(|m| m.pipeline).collect();
         machines
