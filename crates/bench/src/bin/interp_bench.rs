@@ -327,8 +327,9 @@ fn main() {
     );
 
     // --- Machine-axis sweep: scalar oracle per machine vs one batched ------
-    // execution.  This is the unit of work a Figure 11 grid task performs
-    // per (workload, level) cell: the full Table III roster over one image.
+    // execution of the full Table III roster over one image.  A Figure 11
+    // task runs one such batch per distinct binary of its unit's
+    // (level, machine) grid; at -O0 that is this whole roster.
     // Both sides run without a budget, as the figures do: the oracle on the
     // unfused image, the batched model on the store's fused image.  Parity
     // is asserted before anything is timed — a fast wrong answer is not a

@@ -900,22 +900,25 @@ pub fn fig10(artifacts: &[WorkloadArtifacts]) -> String {
     out
 }
 
-/// Groups the roster `machines` by the binary each one runs: compiles the
-/// unit once per ISA of the roster and merges ISAs that lower it to an
-/// identical program.  Returns each distinct binary with the roster indices
-/// that run it, in order of first appearance.  At `-O0`, where x86, x86-64
-/// and IA-64 lower every kernel identically, Table III forms one group.
+/// Groups the (level, machine) `cells` of one Figure 11 unit by the binary
+/// each cell runs: compiles the unit once per (level, ISA) among the cells
+/// and merges compilations that produce an identical program.  Returns each
+/// distinct binary with the indices of the cells that run it, in order of
+/// first appearance.  At `-O0`, where x86, x86-64 and IA-64 lower every
+/// kernel identically, Table III forms one group; across levels, every
+/// Figure 11 unit compiles to the same binary at `-O3` as at `-O2`.
 pub fn binary_groups(
-    machines: &[MachineConfig],
-    compiled_for: &dyn Fn(MachineIsa) -> Arc<CompiledArtifact>,
+    cells: &[(OptLevel, &MachineConfig)],
+    compiled_for: &dyn Fn(OptLevel, MachineIsa) -> Arc<CompiledArtifact>,
 ) -> Vec<(Arc<CompiledArtifact>, Vec<usize>)> {
     let mut groups: Vec<(Arc<CompiledArtifact>, Vec<usize>)> = Vec::new();
-    let mut group_of: Vec<(MachineIsa, usize)> = Vec::new();
-    for (i, m) in machines.iter().enumerate() {
-        let g = if let Some(&(_, g)) = group_of.iter().find(|(isa, _)| *isa == m.isa) {
+    let mut group_of: Vec<((OptLevel, MachineIsa), usize)> = Vec::new();
+    for (i, &(level, m)) in cells.iter().enumerate() {
+        let key = (level, m.isa);
+        let g = if let Some(&(_, g)) = group_of.iter().find(|(k, _)| *k == key) {
             g
         } else {
-            let art = compiled_for(m.isa);
+            let art = compiled_for(level, m.isa);
             let g = groups
                 .iter()
                 .position(|(a, _)| a.program == art.program)
@@ -923,7 +926,7 @@ pub fn binary_groups(
             if g == groups.len() {
                 groups.push((art, Vec::new()));
             }
-            group_of.push((m.isa, g));
+            group_of.push((key, g));
             g
         };
         groups[g].1.push(i);
@@ -931,18 +934,19 @@ pub fn binary_groups(
     groups
 }
 
-/// Times one compiled unit on every machine of `machines`, returning
-/// `time_ns` in roster order, with one functional execution per distinct
-/// binary ([`binary_groups`], [`MachineConfig::run_batch`]).  This is exact:
-/// a lane's result depends only on the image and its [`PipelineConfig`], and
-/// identical programs decode to identical images.
+/// Times one compiled unit in every (level, machine) cell of `cells`,
+/// returning `time_ns` in cell order, with one functional execution per
+/// distinct binary ([`binary_groups`], [`MachineConfig::run_batch`]).  This
+/// is exact: a lane's result depends only on the image and its
+/// [`PipelineConfig`], and identical programs decode to identical images.
+/// A machine whose binary two levels share runs in one lane for both.
 pub fn machine_axis_times(
-    machines: &[MachineConfig],
-    compiled_for: &dyn Fn(MachineIsa) -> Arc<CompiledArtifact>,
+    cells: &[(OptLevel, &MachineConfig)],
+    compiled_for: &dyn Fn(OptLevel, MachineIsa) -> Arc<CompiledArtifact>,
 ) -> Vec<f64> {
-    let mut times = vec![0.0; machines.len()];
-    for (art, idxs) in binary_groups(machines, compiled_for) {
-        let group: Vec<MachineConfig> = idxs.iter().map(|&i| machines[i].clone()).collect();
+    let mut times = vec![0.0; cells.len()];
+    for (art, idxs) in binary_groups(cells, compiled_for) {
+        let group: Vec<MachineConfig> = idxs.iter().map(|&i| cells[i].1.clone()).collect();
         for (&i, r) in idxs
             .iter()
             .zip(MachineConfig::run_batch(&group, &art.image))
@@ -966,21 +970,23 @@ fn fig11_over(artifacts: &[WorkloadArtifacts], machines: &[MachineConfig], title
     let consolidated = &consolidated;
     let consolidated_id = SourceId::of(&consolidated.benchmark.hll);
 
-    // Axes: level × (workload | consolidated clone) — one **batched** task
-    // per point, each timing the whole machine roster from one execution
-    // per distinct binary.  The machine axis no longer multiplies the task
-    // count; the 4 × (N + 1) grid still load-balances across workloads, and
-    // every row of the rendered figure reads from the same measured values
-    // the per-cell sharding produced (bit-identical lanes, proven against
-    // the scalar oracle by the batched differential suite).
-    let group: Vec<Option<&WorkloadArtifacts>> = artifacts
+    // Axis: workload | consolidated clone — one task per unit, each timing
+    // the whole level × machine grid from one execution per distinct binary
+    // ([`machine_axis_times`]).  Every row of the rendered figure reads the
+    // same values one run per cell would produce (bit-identical lanes,
+    // proven against the scalar oracle by the batched differential suite).
+    let cells: Vec<(OptLevel, &MachineConfig)> = OptLevel::ALL
+        .iter()
+        .flat_map(|&level| machines.iter().map(move |m| (level, m)))
+        .collect();
+    let units: Vec<Option<&WorkloadArtifacts>> = artifacts
         .iter()
         .map(Some)
         .chain(std::iter::once(None))
         .collect();
-    let m = Experiment::over(cross(&OptLevel::ALL, &group)).measure(|(level, unit)| {
-        let compiled_for = |isa: MachineIsa| {
-            let options = CompileOptions::new(*level, target_isa_for(isa));
+    let m = Experiment::over(units).measure(|unit| {
+        let compiled_for = |level: OptLevel, isa: MachineIsa| {
+            let options = CompileOptions::new(level, target_isa_for(isa));
             match unit {
                 Some(a) => a.compiled(&options, false),
                 None => ArtifactStore::global().compiled_keyed(
@@ -990,7 +996,7 @@ fn fig11_over(artifacts: &[WorkloadArtifacts], machines: &[MachineConfig], title
                 ),
             }
         };
-        machine_axis_times(machines, &compiled_for)
+        machine_axis_times(&cells, &compiled_for)
     });
     let mut out = String::new();
     let _ = writeln!(out, "{title}");
@@ -1001,10 +1007,11 @@ fn fig11_over(artifacts: &[WorkloadArtifacts], machines: &[MachineConfig], title
     );
     let mut baseline: Option<(f64, f64)> = None;
     for (mi, machine) in machines.iter().enumerate() {
-        for (level, point) in OptLevel::ALL.iter().zip(m.per(group.len())) {
-            // Original time sums the per-workload points in submission order.
-            let org_time: f64 = point[..artifacts.len()].iter().map(|v| v[mi]).sum();
-            let syn_time = point[artifacts.len()][mi];
+        for (li, level) in OptLevel::ALL.iter().enumerate() {
+            let cell = li * machines.len() + mi;
+            // Original time sums the per-workload values in submission order.
+            let org_time: f64 = m.values[..artifacts.len()].iter().map(|v| v[cell]).sum();
+            let syn_time = m.values[artifacts.len()][cell];
             let (ob, sb) = *baseline.get_or_insert((org_time, syn_time));
             let _ = writeln!(
                 out,

@@ -10,9 +10,10 @@
 //! shared L1/L2 state and the in-order model).  On top of raw lane parity,
 //! Figure 11 text is byte-identical at any worker count, and the static
 //! verifier is observer-agnostic — running an image under the batched model
-//! changes nothing the reference/replay passes look at.  Figure 11's machine
-//! axis, which shares one execution among every machine running the same
-//! binary, equals one run per machine on its own ISA's image.
+//! changes nothing the reference/replay passes look at.  Figure 11's
+//! (level, machine) grid, which shares one execution among every cell
+//! running the same binary, equals one run per cell on that cell's own
+//! binary.
 //!
 //! Tier-1 covers the small-input half of the registry (18 workloads); the
 //! tier-2 job (`BSG_LARGE_TESTS=1`) extends the same sweep to the large
@@ -145,10 +146,12 @@ fn batched_fig11_text_is_deterministic_across_worker_counts() {
     }
 }
 
-/// The grouped machine axis equals one [`MachineConfig::run_image`] per
-/// machine on its own ISA's image, bit for bit, for every small-suite kernel
-/// and the consolidated clone at every level over the extended roster; and
-/// Table III at `-O0` runs a single binary for every unit.
+/// The grouped (level, machine) grid equals one [`MachineConfig::run_image`]
+/// per cell on that cell's own binary, bit for bit, for every small-suite
+/// kernel and the consolidated clone over the extended roster; the grouping
+/// is maximal (one group per distinct program among the unit's (level, ISA)
+/// compilations); and Table III at `-O0` runs a single binary for every
+/// unit.
 #[test]
 fn grouped_machine_axis_equals_one_run_per_machine() {
     let artifacts: Vec<WorkloadArtifacts> = suite(InputSize::Small)
@@ -164,38 +167,53 @@ fn grouped_machine_axis_equals_one_run_per_machine() {
     let consolidated_id = SourceId::of(&consolidated.benchmark.hll);
     let table3 = MachineConfig::table3();
     let extended = MachineConfig::table3_extended();
-    for level in OptLevel::ALL {
-        let units = artifacts.iter().map(Some).chain(std::iter::once(None));
-        for unit in units {
-            let name = unit.map_or("consolidated clone", |a| a.workload.name.as_str());
-            let compiled_for = |isa: MachineIsa| -> Arc<CompiledArtifact> {
-                let options = CompileOptions::new(level, target_isa_for(isa));
-                match unit {
-                    Some(a) => a.compiled(&options, false),
-                    None => ArtifactStore::global().compiled_keyed(
-                        consolidated_id,
-                        &consolidated.benchmark.hll,
-                        &options,
-                    ),
-                }
-            };
-            let grouped = machine_axis_times(&extended, &compiled_for);
-            for (m, t) in extended.iter().zip(&grouped) {
-                let alone = m.run_image(&compiled_for(m.isa).image).time_ns;
-                assert_eq!(
-                    t.to_bits(),
-                    alone.to_bits(),
-                    "{name} {level} on {}: grouped {t} vs alone {alone}",
-                    m.name
-                );
+    let cells: Vec<(OptLevel, &MachineConfig)> = OptLevel::ALL
+        .iter()
+        .flat_map(|&level| extended.iter().map(move |m| (level, m)))
+        .collect();
+    let table3_o0: Vec<(OptLevel, &MachineConfig)> =
+        table3.iter().map(|m| (OptLevel::O0, m)).collect();
+    let units = artifacts.iter().map(Some).chain(std::iter::once(None));
+    for unit in units {
+        let name = unit.map_or("consolidated clone", |a| a.workload.name.as_str());
+        let compiled_for = |level: OptLevel, isa: MachineIsa| -> Arc<CompiledArtifact> {
+            let options = CompileOptions::new(level, target_isa_for(isa));
+            match unit {
+                Some(a) => a.compiled(&options, false),
+                None => ArtifactStore::global().compiled_keyed(
+                    consolidated_id,
+                    &consolidated.benchmark.hll,
+                    &options,
+                ),
             }
-            if level == OptLevel::O0 {
-                assert_eq!(
-                    binary_groups(&table3, &compiled_for).len(),
-                    1,
-                    "{name}: Table III at -O0 runs one binary"
-                );
+        };
+        let grouped = machine_axis_times(&cells, &compiled_for);
+        assert_eq!(grouped.len(), cells.len());
+        for (&(level, m), t) in cells.iter().zip(&grouped) {
+            let alone = m.run_image(&compiled_for(level, m.isa).image).time_ns;
+            assert_eq!(
+                t.to_bits(),
+                alone.to_bits(),
+                "{name} {level} on {}: grouped {t} vs alone {alone}",
+                m.name
+            );
+        }
+        let mut distinct: Vec<Arc<CompiledArtifact>> = Vec::new();
+        for &(level, m) in &cells {
+            let art = compiled_for(level, m.isa);
+            if !distinct.iter().any(|d| d.program == art.program) {
+                distinct.push(art);
             }
         }
+        assert_eq!(
+            binary_groups(&cells, &compiled_for).len(),
+            distinct.len(),
+            "{name}: one group per distinct binary"
+        );
+        assert_eq!(
+            binary_groups(&table3_o0, &compiled_for).len(),
+            1,
+            "{name}: Table III at -O0 runs one binary"
+        );
     }
 }

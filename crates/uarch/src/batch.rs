@@ -8,17 +8,43 @@
 //! Figure 11 the Table III machine.  The instruction stream does not depend
 //! on the machine config, so [`BatchedPipelineSim`] is an ordinary
 //! [`Observer`] (it drops into the monomorphized dispatch loop without
-//! touching `exec.rs`) that fans each retired instruction into
-//! structure-of-arrays per-lane state, one lane per *unique*
-//! [`PipelineConfig`].
+//! touching `exec.rs`) that times that stream once per *unique*
+//! [`PipelineConfig`], each in its own lane.
 //!
-//! # Lane layout and sharing
+//! # Chunked, lane-major replay
 //!
-//! Per-config scalars of [`PipelineSim`](crate::pipeline::PipelineSim)
-//! become per-lane arrays (`cycle`, `issued_in_cycle`, `last_complete`,
-//! `max_complete`, ring-buffer ROBs packed into one flat vector with
-//! per-lane offsets).  `reg_ready` becomes a flat `reg × nlanes` array so
-//! the per-lane inner loop over one register's slots walks adjacent memory.
+//! The observer callbacks only record.  Each retired instruction appends
+//! one event (its register slots and base latency) to a fixed buffer of a
+//! few thousand entries, plus one entry per memory access (address, read or
+//! write) to a second buffer; each branch misprediction appends a redirect
+//! marker event.  When the buffer fills, and when [`results`] is asked for,
+//! the chunk is flushed in two phases:
+//!
+//! 1. **Caches.**  Each unique L1 runs over the chunk's accesses in program
+//!    order (per instruction its read, then its write), listing its misses;
+//!    then each L2 behind that L1 runs over those misses in the same order.
+//!    The level that served each read is recorded per (event, L2).
+//! 2. **Lanes.**  Each lane replays the chunk start to finish with its
+//!    state in locals, in a loop monomorphized on in-order issue.  A lane's
+//!    register ready times are its own contiguous array.  Register operands
+//!    come from a per-site slot table built once per image, in which an
+//!    absent or out-of-range register reads a slot that is always zero and
+//!    writes a slot that is never read.
+//!
+//! The result is bit-identical to the scalar oracle
+//! [`PipelineSim`](crate::pipeline::PipelineSim), run per config, for three
+//! reasons.  Every cache sees exactly the access sequence it would see
+//! interleaved with the lanes, because a cache's state depends only on its
+//! own accesses and the lanes never touch a cache.  Each lane performs the
+//! oracle's arithmetic on the oracle's operands in the oracle's order,
+//! event by event.  And a redirect is applied at the same position in the
+//! instruction stream as the `on_branch` call that caused it.  Lane state
+//! is therefore only complete after a flush: read it through [`results`].
+//!
+//! [`results`]: BatchedPipelineSim::results
+//!
+//! # Sharing
+//!
 //! Three layers of state are *shared* rather than replicated, each justified
 //! by a bit-parity argument (and proven against the scalar oracle by the
 //! differential suite):
@@ -26,16 +52,16 @@
 //! * **Branch predictor and branch stats** — the scalar model always builds
 //!   [`Hybrid::default_config()`] regardless of the pipeline config, and
 //!   predictor evolution depends only on the `(site_id, taken)` stream,
-//!   which is identical across lanes.  One predictor serves every lane; a
-//!   misprediction redirects each lane with its own penalty.
+//!   which is identical across lanes.  One predictor serves every lane, run
+//!   as the branch is recorded; a misprediction redirects each lane with its
+//!   own penalty.
 //! * **Cache state** — cache contents depend only on the config and the
 //!   address stream.  Lanes with the same L1 config share one L1 (its hit
 //!   stream is identical); lanes with the same *(L1, L2)* pair share one L2
 //!   (the L2's access stream is the L1's miss stream, so sharing requires
-//!   the upstream L1 to match too).  The L2s are stored grouped by their
-//!   L1, so one access walks each L1 and then only the L2s behind it.  Each
-//!   unique cache is accessed exactly once per memory operation — Table
-//!   III's five machines touch two L1s and four L2s instead of five of each.
+//!   the upstream L1 to match too).  Each unique cache is accessed exactly
+//!   once per memory operation — Table III's five machines touch two L1s and
+//!   four L2s instead of five of each.
 //! * **The instruction counter** — every lane times the same stream.
 //!
 //! Identical full configs collapse into one lane outright (Table III's two
@@ -47,67 +73,171 @@ use crate::branch::{BranchStats, Hybrid, Predictor};
 use crate::cache::{Cache, CacheConfig};
 use crate::exec::{execute_image, ExecConfig, InstEvent, InstSite, Observer};
 use crate::image::ExecImage;
-use crate::pipeline::{base_latency, PipelineConfig, PipelineResult, SiteInfo};
+use crate::pipeline::{base_latency, PipelineConfig, PipelineResult};
 
-/// Read-only per-lane configuration, denormalized out of [`PipelineConfig`]
-/// so the per-instruction loop reads one small `Copy` record per lane.
-#[derive(Debug, Clone, Copy)]
-struct LaneCfg {
-    width: u32,
-    in_order: bool,
-    /// Ring capacity (`rob_size.max(1)`, matching the scalar model's guard).
-    rob_cap: usize,
-    /// This lane's ring's offset into the flat `rob` vector.
-    rob_off: usize,
-    l1_latency: u64,
-    l2_latency: u64,
-    mem_latency: u64,
-    mispredict_penalty: u64,
-    /// Index of the shared L1 this lane reads.
-    l1: usize,
-    /// Index of the shared L2 this lane reads.
-    l2: usize,
-}
+/// Recorded entries (instructions and redirects) per flush.
+const CHUNK: usize = 2048;
+/// Length of one L2's row of [`BatchedPipelineSim::levels`].
+const ROW: usize = CHUNK + 1;
 
-/// Memory level that served one access, per unique L2.
+/// A lane register slot that is never written, so reads as zero.
+const ZERO_SLOT: u32 = 0;
+/// A lane register slot that is never read.
+const SINK_SLOT: u32 = 1;
+
+/// Memory level that served a read, per (event, unique L2): `LEVEL_L1`,
+/// `LEVEL_L2` or memory (`LEVEL_L2 + 1`), since each miss adds one.  It
+/// indexes a lane's latency table, in which `LEVEL_NONE` (no read) costs
+/// nothing.
 const LEVEL_L1: u8 = 0;
 const LEVEL_L2: u8 = 1;
-const LEVEL_MEM: u8 = 2;
+const LEVEL_NONE: u8 = 3;
+
+/// One recorded entry of the stream: a retired instruction, or a branch
+/// misprediction's redirect marker.
+#[derive(Debug, Clone, Copy, Default)]
+struct Event {
+    /// The instruction's register slots (see [`BatchedPipelineSim::slots`]),
+    /// looked up once here rather than once per lane.
+    uses: [u32; 3],
+    def: u32,
+    base: u8,
+    redirect: bool,
+}
+
+/// One memory access of a recorded instruction, in program order (an
+/// instruction's read precedes its write).
+#[derive(Debug, Clone, Copy)]
+struct Access {
+    addr: u64,
+    /// Index of the instruction's [`Event`] in the chunk.
+    event: u32,
+    is_read: bool,
+}
+
+/// Running state of one lane (the scalar model's per-config scalars).
+#[derive(Debug, Clone, Copy, Default)]
+struct LaneState {
+    cycle: u64,
+    issued_in_cycle: u32,
+    rob_pos: usize,
+    rob_len: usize,
+    last_complete: u64,
+    max_complete: u64,
+}
+
+/// One unique config's timing model.
+#[derive(Debug, Clone)]
+struct Lane {
+    config: PipelineConfig,
+    /// Index of the shared L1 this lane reads.
+    l1: usize,
+    /// Index of the shared L2 this lane reads (its row of `levels`).
+    l2: usize,
+    state: LaneState,
+    /// Ready cycle per register slot (see [`BatchedPipelineSim::slots`]),
+    /// padded to a power of two.
+    reg_ready: Vec<u64>,
+    /// Completion ring of capacity `rob_size.max(1)` (matching the scalar
+    /// model's guard); empty for in-order lanes.
+    rob: Vec<u64>,
+}
+
+impl Lane {
+    /// Replays one flushed chunk: `levels` is this lane's L2's row.
+    fn replay<const IN_ORDER: bool>(&mut self, events: &[Event], levels: &[u8]) {
+        let c = &self.config;
+        let extra = [c.l1_latency, c.l2_latency, c.mem_latency, 0];
+        let reg_ready = &mut self.reg_ready[..];
+        // Every slot is below the power-of-two length, so masking changes no
+        // index; it only lets the compiler drop the bounds checks.
+        let mask = reg_ready.len() - 1;
+        let rob = &mut self.rob[..];
+        let mut s = self.state;
+        for (e, &level) in events.iter().zip(levels) {
+            if e.redirect {
+                // The front end restarts after the branch resolves.
+                s.cycle = s.cycle.max(s.last_complete) + c.mispredict_penalty;
+                s.issued_in_cycle = 0;
+                continue;
+            }
+            // The scalar model's branches, as selects: which way each goes
+            // depends on the data, so branching would mispredict.
+            // Issue-width constraint.
+            let full_width = s.issued_in_cycle >= c.width;
+            s.cycle += u64::from(full_width);
+            s.issued_in_cycle *= u32::from(!full_width);
+            // Reorder-buffer constraint (out-of-order only); ring semantics
+            // identical to the scalar model's.
+            let rob_full = !IN_ORDER && s.rob_len >= rob.len();
+            if rob_full {
+                let oldest = rob[s.rob_pos];
+                s.issued_in_cycle *= u32::from(oldest <= s.cycle);
+                s.cycle = s.cycle.max(oldest);
+            }
+            let [u0, u1, u2] = e.uses.map(|u| u as usize & mask);
+            let src_ready = reg_ready[u0].max(reg_ready[u1]).max(reg_ready[u2]);
+            let issue = if IN_ORDER {
+                // In-order issue stalls the whole pipeline until operands
+                // are ready.
+                s.issued_in_cycle *= u32::from(src_ready <= s.cycle);
+                s.cycle = s.cycle.max(src_ready);
+                s.cycle
+            } else {
+                s.cycle.max(src_ready)
+            };
+            let latency = u64::from(e.base) + extra[usize::from(level & 3)];
+            let complete = issue + latency.max(1);
+            reg_ready[e.def as usize & mask] = complete;
+            if !IN_ORDER {
+                if rob_full {
+                    rob[s.rob_pos] = complete;
+                    s.rob_pos += 1;
+                    if s.rob_pos >= rob.len() {
+                        s.rob_pos = 0;
+                    }
+                } else {
+                    rob[s.rob_len] = complete;
+                    s.rob_len += 1;
+                }
+            }
+            s.issued_in_cycle += 1;
+            s.last_complete = complete;
+            s.max_complete = s.max_complete.max(complete);
+        }
+        self.state = s;
+    }
+}
 
 /// The batched multi-config timing model; an [`Observer`] like the scalar
 /// oracle [`PipelineSim`](crate::pipeline::PipelineSim), but timing every
-/// config in one pass.  See the module docs for the lane layout.
+/// config in one pass.  See the module docs for the chunked replay.
 pub struct BatchedPipelineSim {
     /// Maps each *input* config index to its unique lane.
     lane_of: Vec<usize>,
-    lanes: Vec<LaneCfg>,
-    /// Indexed by dense site id (the image's site table order), shared by
-    /// every lane.
-    info: Vec<SiteInfo>,
+    lanes: Vec<Lane>,
+    /// Register slots per dense site id: `[use0, use1, use2, def]`.  Slot
+    /// `r + 2` is register `r`; [`ZERO_SLOT`] serves absent or out-of-range
+    /// reads and [`SINK_SLOT`] absent or out-of-range defs.
+    slots: Vec<[u32; 4]>,
     /// Unique L1s (see module docs for the sharing rule).
     l1s: Vec<Cache>,
     /// Unique L2s, grouped by the L1 whose miss stream feeds them: the first
     /// `l2s_per_l1[0]` belong to L1 0, the next `l2s_per_l1[1]` to L1 1, ...
     l2s: Vec<Cache>,
     l2s_per_l1: Vec<usize>,
-    /// Scratch: per-unique-L2 memory level of the last classified access
-    /// (the lane loop reads it only right after classifying a read).
-    mem_level: Vec<u8>,
     predictor: Hybrid,
     branch_stats: BranchStats,
-    /// Ready cycles, `reg * nlanes + lane` (SoA: one register's lanes are
-    /// adjacent).
-    reg_ready: Vec<u64>,
-    nregs: usize,
-    cycle: Vec<u64>,
-    issued_in_cycle: Vec<u32>,
-    /// All lanes' completion rings, packed back to back (`LaneCfg::rob_off`).
-    rob: Vec<u64>,
-    rob_pos: Vec<usize>,
-    rob_len: Vec<usize>,
-    last_complete: Vec<u64>,
-    max_complete: Vec<u64>,
     instructions: u64,
+    /// The pending chunk, at most [`CHUNK`] entries.
+    events: Vec<Event>,
+    /// The pending chunk's memory accesses.
+    accesses: Vec<Access>,
+    /// Reused by each flush: the indices in `accesses` of one L1's misses.
+    misses: Vec<u32>,
+    /// Reused by each flush: per unique L2, a row of `CHUNK` memory levels
+    /// (one per event) plus a never-read slot that writes land in.
+    levels: Vec<u8>,
 }
 
 impl BatchedPipelineSim {
@@ -124,7 +254,6 @@ impl BatchedPipelineSim {
                 })
             })
             .collect();
-        let nlanes = unique.len();
 
         // Unique L1s, then each L1's unique L2s, stored contiguously.
         let mut l1_cfgs: Vec<CacheConfig> = Vec::new();
@@ -145,195 +274,153 @@ impl BatchedPipelineSim {
             l2s_per_l1.push(l2_keys.len() - group_start);
         }
 
-        let mut lanes: Vec<LaneCfg> = Vec::with_capacity(nlanes);
-        let mut rob_off = 0usize;
-        for c in &unique {
-            let l1 = l1_cfgs.iter().position(|x| *x == c.l1).expect("L1 listed");
-            let l2 = l2_keys
-                .iter()
-                .position(|x| *x == (c.l1, c.l2))
-                .expect("L2 listed");
-            let rob_cap = c.rob_size.max(1);
-            lanes.push(LaneCfg {
-                width: c.width,
-                in_order: c.in_order,
-                rob_cap,
-                rob_off,
-                l1_latency: c.l1_latency,
-                l2_latency: c.l2_latency,
-                mem_latency: c.mem_latency,
-                mispredict_penalty: c.mispredict_penalty,
-                l1,
-                l2,
-            });
-            rob_off += rob_cap;
-        }
-
-        let info = image
+        let nregs = image.max_regs();
+        let slot = |r: Option<bsg_ir::types::Reg>, absent: u32| {
+            r.map_or(absent, |r| if r.0 < nregs { r.0 + 2 } else { absent })
+        };
+        let slots = image
             .site_metas()
             .iter()
-            .map(|m| SiteInfo {
-                def: m.def,
-                uses: m.uses,
+            .map(|m| {
+                let [a, b, c] = m.uses.map(|r| slot(r, ZERO_SLOT));
+                [a, b, c, slot(m.def, SINK_SLOT)]
             })
             .collect();
-        let nregs = image.max_regs() as usize;
+        let lanes = unique
+            .iter()
+            .map(|c| Lane {
+                config: *c,
+                l1: l1_cfgs.iter().position(|x| *x == c.l1).expect("L1 listed"),
+                l2: l2_keys
+                    .iter()
+                    .position(|x| *x == (c.l1, c.l2))
+                    .expect("L2 listed"),
+                state: LaneState::default(),
+                reg_ready: vec![0; (nregs as usize + 2).next_power_of_two()],
+                rob: vec![0; if c.in_order { 0 } else { c.rob_size.max(1) }],
+            })
+            .collect();
         BatchedPipelineSim {
             lane_of,
-            info,
+            lanes,
+            slots,
             l1s: l1_cfgs.iter().map(|c| Cache::new(*c)).collect(),
             l2s: l2_keys.iter().map(|(_, c)| Cache::new(*c)).collect(),
             l2s_per_l1,
-            mem_level: vec![LEVEL_L1; l2_keys.len()],
             predictor: Hybrid::default_config(),
             branch_stats: BranchStats::default(),
-            reg_ready: vec![0; nregs * nlanes],
-            nregs,
-            cycle: vec![0; nlanes],
-            issued_in_cycle: vec![0; nlanes],
-            rob: vec![0; rob_off],
-            rob_pos: vec![0; nlanes],
-            rob_len: vec![0; nlanes],
-            last_complete: vec![0; nlanes],
-            max_complete: vec![0; nlanes],
             instructions: 0,
-            lanes,
+            events: Vec::with_capacity(CHUNK),
+            accesses: Vec::with_capacity(2 * CHUNK),
+            misses: Vec::with_capacity(2 * CHUNK),
+            levels: vec![LEVEL_NONE; l2_keys.len() * ROW],
         }
     }
 
-    /// Runs one address through every unique cache — each L1, then the L2s
-    /// its misses feed — and records the level that served it per L2 in
-    /// `mem_level`.
-    fn classify(&mut self, addr: u64) {
-        let mut l2s = self.l2s.iter_mut().zip(self.mem_level.iter_mut());
+    #[inline(always)]
+    fn push(&mut self, event: Event) {
+        self.events.push(event);
+        if self.events.len() == CHUNK {
+            self.flush();
+        }
+    }
+
+    /// Times the pending chunk on every cache, then on every lane (see the
+    /// module docs), and empties it.
+    fn flush(&mut self) {
+        let events = &self.events[..];
+        // A read records its level in its event's slot of a row; a write's
+        // level is never read, so it lands in the row's last slot.
+        let slot = |a: &Access| if a.is_read { a.event as usize } else { CHUNK };
+        let mut first_l2 = 0;
         for (l1, &n) in self.l1s.iter_mut().zip(&self.l2s_per_l1) {
-            let l1_hit = l1.access(addr);
-            for (l2, level) in l2s.by_ref().take(n) {
-                *level = if l1_hit {
-                    LEVEL_L1
-                } else if l2.access(addr) {
-                    LEVEL_L2
-                } else {
-                    LEVEL_MEM
-                };
+            // The L1 runs first, writing its verdicts into the first row
+            // behind it and listing its misses; the other rows behind it
+            // start as copies, and each L2 then runs over the misses only.
+            let rows = &mut self.levels[first_l2 * ROW..(first_l2 + n) * ROW];
+            let (head, rest) = rows.split_at_mut(ROW);
+            head.fill(LEVEL_NONE);
+            self.misses.clear();
+            for (i, a) in self.accesses.iter().enumerate() {
+                let hit = l1.access(a.addr);
+                if !hit {
+                    self.misses.push(i as u32);
+                }
+                head[slot(a)] = LEVEL_L1 + u8::from(!hit);
+            }
+            for row in rest.chunks_exact_mut(ROW) {
+                row.copy_from_slice(head);
+            }
+            let l2s = &mut self.l2s[first_l2..first_l2 + n];
+            for (l2, row) in l2s.iter_mut().zip(rows.chunks_exact_mut(ROW)) {
+                for &i in &self.misses {
+                    let a = &self.accesses[i as usize];
+                    row[slot(a)] = LEVEL_L2 + u8::from(!l2.access(a.addr));
+                }
+            }
+            first_l2 += n;
+        }
+        for lane in &mut self.lanes {
+            let levels = &self.levels[lane.l2 * ROW..];
+            if lane.config.in_order {
+                lane.replay::<true>(events, levels);
+            } else {
+                lane.replay::<false>(events, levels);
             }
         }
+        self.events.clear();
+        self.accesses.clear();
     }
 
     /// Per-input-config timing results, in the order the configs were given
-    /// (lane-deduplicated configs read the same lane).
-    pub fn results(&self) -> Vec<PipelineResult> {
+    /// (lane-deduplicated configs read the same lane).  Flushes the pending
+    /// chunk first, so the observer stays usable afterwards.
+    pub fn results(&mut self) -> Vec<PipelineResult> {
+        self.flush();
         self.lane_of
             .iter()
-            .map(|&lane| PipelineResult {
-                cycles: self.max_complete[lane].max(self.cycle[lane]),
-                instructions: self.instructions,
-                branches: self.branch_stats,
-                l1: self.l1s[self.lanes[lane].l1].stats(),
-                l2: self.l2s[self.lanes[lane].l2].stats(),
+            .map(|&lane| {
+                let lane = &self.lanes[lane];
+                PipelineResult {
+                    cycles: lane.state.max_complete.max(lane.state.cycle),
+                    instructions: self.instructions,
+                    branches: self.branch_stats,
+                    l1: self.l1s[lane.l1].stats(),
+                    l2: self.l2s[lane.l2].stats(),
+                }
             })
             .collect()
     }
 }
 
 impl Observer for BatchedPipelineSim {
+    // Inlined into every dispatch arm: recording is a few stores, cheaper
+    // than the call (and the spills around it) that it would otherwise cost.
+    #[inline(always)]
     fn on_inst(&mut self, event: &InstEvent) {
-        let info = self.info[event.site_id as usize];
         self.instructions += 1;
-        let base = base_latency(event.class);
-        let has_read = event.mem_read.is_some();
-        if let Some(a) = event.mem_read {
-            self.classify(a);
+        let index = self.events.len() as u32;
+        if let Some(addr) = event.mem_read {
+            self.accesses.push(Access {
+                addr,
+                event: index,
+                is_read: true,
+            });
         }
-        let nlanes = self.lanes.len();
-        // Zipped iterators over the SoA columns keep the per-instruction
-        // inner loop free of per-lane bounds checks.
-        let lane_iter = self
-            .lanes
-            .iter()
-            .zip(self.cycle.iter_mut())
-            .zip(self.issued_in_cycle.iter_mut())
-            .zip(self.rob_pos.iter_mut())
-            .zip(self.rob_len.iter_mut())
-            .zip(self.last_complete.iter_mut())
-            .zip(self.max_complete.iter_mut())
-            .enumerate();
-        for (lane, ((((((cfg, cycle_slot), issued_slot), rob_pos), rob_len), last), max)) in
-            lane_iter
-        {
-            let mut cycle = *cycle_slot;
-            let mut issued = *issued_slot;
-            // Issue-width constraint.
-            if issued >= cfg.width {
-                cycle += 1;
-                issued = 0;
-            }
-            // Reorder-buffer constraint (out-of-order only); ring semantics
-            // identical to the scalar model's.
-            let rob_full = !cfg.in_order && *rob_len >= cfg.rob_cap;
-            if rob_full {
-                let oldest = self.rob[cfg.rob_off + *rob_pos];
-                if oldest > cycle {
-                    cycle = oldest;
-                    issued = 0;
-                }
-            }
-            let mut src_ready = 0;
-            for r in info.uses.iter().flatten() {
-                let i = r.0 as usize;
-                if i < self.nregs {
-                    src_ready = src_ready.max(self.reg_ready[i * nlanes + lane]);
-                }
-            }
-            let issue = if cfg.in_order {
-                // In-order issue stalls the whole pipeline until operands
-                // are ready.
-                if src_ready > cycle {
-                    cycle = src_ready;
-                    issued = 0;
-                }
-                cycle
-            } else {
-                cycle.max(src_ready)
-            };
-            let mut latency = base;
-            if has_read {
-                latency += match self.mem_level[cfg.l2] {
-                    LEVEL_L1 => cfg.l1_latency,
-                    LEVEL_L2 => cfg.l2_latency,
-                    _ => cfg.mem_latency,
-                };
-            }
-            let complete = issue + latency.max(1);
-            if let Some(d) = info.def {
-                let i = d.0 as usize;
-                if i < self.nregs {
-                    self.reg_ready[i * nlanes + lane] = complete;
-                }
-            }
-            if !cfg.in_order {
-                if rob_full {
-                    self.rob[cfg.rob_off + *rob_pos] = complete;
-                    *rob_pos += 1;
-                    if *rob_pos >= cfg.rob_cap {
-                        *rob_pos = 0;
-                    }
-                } else {
-                    self.rob[cfg.rob_off + *rob_len] = complete;
-                    *rob_len += 1;
-                }
-            }
-            *cycle_slot = cycle;
-            *issued_slot = issued + 1;
-            *last = complete;
-            *max = (*max).max(complete);
+        if let Some(addr) = event.mem_write {
+            self.accesses.push(Access {
+                addr,
+                event: index,
+                is_read: false,
+            });
         }
-        if let Some(a) = event.mem_write {
-            // Stores retire through a write buffer: they update cache state
-            // and stats but charge no latency, so the access can follow the
-            // lane loop (after this instruction's read, as in the oracle).
-            self.classify(a);
-        }
+        let [a, b, c, def] = self.slots[event.site_id as usize];
+        self.push(Event {
+            uses: [a, b, c],
+            def,
+            base: base_latency(event.class) as u8,
+            redirect: false,
+        });
     }
 
     fn on_branch(&mut self, _site: InstSite, site_id: u32, taken: bool) {
@@ -341,13 +428,12 @@ impl Observer for BatchedPipelineSim {
         if self.predictor.predict_and_update(site_id, taken) {
             self.branch_stats.correct += 1;
         } else {
-            // Redirect every lane: the outcome is shared (see module docs),
-            // the penalty is per lane.
-            for lane in 0..self.lanes.len() {
-                self.cycle[lane] = self.cycle[lane].max(self.last_complete[lane])
-                    + self.lanes[lane].mispredict_penalty;
-                self.issued_in_cycle[lane] = 0;
-            }
+            // The outcome is shared (see module docs); each lane applies its
+            // own penalty when it replays the marker.
+            self.push(Event {
+                redirect: true,
+                ..Event::default()
+            });
         }
     }
 }
@@ -364,7 +450,6 @@ pub fn simulate_image_batch(image: &ExecImage, configs: &[PipelineConfig]) -> Ve
     execute_image(image, &mut sim, &ExecConfig::default());
     sim.results()
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,22 +459,34 @@ mod tests {
     use bsg_ir::types::Ty;
     use bsg_ir::visa::{Address, BinOp, Inst, Operand, Terminator};
 
-    fn mixed_loop(iters: i64, stride: i64) -> Program {
+    /// A loop of loads and stores whose inner branch follows a
+    /// pseudo-random bit, so about half its outcomes mispredict.
+    fn noisy_loop(iters: i64) -> Program {
         let mut p = Program::new();
-        let g = p.add_global(Global::zeroed("data", 1 << 14));
+        let g = p.add_global(Global::zeroed("data", 1 << 12));
         let mut f = Function::new("main");
-        let i = f.fresh_reg();
-        let idx = f.fresh_reg();
-        let v = f.fresh_reg();
-        let acc = f.fresh_reg();
-        let c = f.fresh_reg();
+        let [i, x, bit, idx, v, acc, c] = [(); 7].map(|_| f.fresh_reg());
         let header = f.add_block();
         let body = f.add_block();
+        let odd = f.add_block();
+        let even = f.add_block();
+        let latch = f.add_block();
         let exit = f.add_block();
+        let bin = |op, dst, lhs: Operand, rhs: Operand| Inst::Bin {
+            op,
+            ty: Ty::Int,
+            dst,
+            lhs,
+            rhs,
+        };
         f.blocks[0].insts = vec![
             Inst::Mov {
                 dst: i,
                 src: Operand::ImmInt(0),
+            },
+            Inst::Mov {
+                dst: x,
+                src: Operand::ImmInt(1),
             },
             Inst::Mov {
                 dst: acc,
@@ -397,67 +494,168 @@ mod tests {
             },
         ];
         f.blocks[0].term = Terminator::Jump(header);
-        f.blocks[header.index()].insts = vec![Inst::Bin {
-            op: BinOp::Lt,
-            ty: Ty::Int,
-            dst: c,
-            lhs: i.into(),
-            rhs: Operand::ImmInt(iters),
-        }];
+        f.blocks[header.index()].insts = vec![bin(BinOp::Lt, c, i.into(), Operand::ImmInt(iters))];
         f.blocks[header.index()].term = Terminator::Branch {
             cond: c,
             taken: body,
             not_taken: exit,
         };
         f.blocks[body.index()].insts = vec![
-            Inst::Bin {
-                op: BinOp::Mul,
-                ty: Ty::Int,
-                dst: idx,
-                lhs: i.into(),
-                rhs: Operand::ImmInt(stride),
-            },
+            bin(BinOp::Mul, x, x.into(), Operand::ImmInt(1_103_515_245)),
+            bin(BinOp::Add, x, x.into(), Operand::ImmInt(12_345)),
+            bin(BinOp::Shr, bit, x.into(), Operand::ImmInt(16)),
+            bin(BinOp::And, bit, bit.into(), Operand::ImmInt(1)),
+            bin(BinOp::Shr, idx, x.into(), Operand::ImmInt(8)),
+            bin(BinOp::And, idx, idx.into(), Operand::ImmInt(4095)),
             Inst::Load {
                 dst: v,
                 addr: Address::global_indexed(g, 0, idx, 1),
                 ty: Ty::Int,
             },
+        ];
+        f.blocks[body.index()].term = Terminator::Branch {
+            cond: bit,
+            taken: odd,
+            not_taken: even,
+        };
+        f.blocks[odd.index()].insts = vec![
+            bin(BinOp::Add, acc, acc.into(), v.into()),
             Inst::Store {
-                src: v.into(),
+                src: x.into(),
                 addr: Address::global_indexed(g, 0, idx, 1),
                 ty: Ty::Int,
             },
-            Inst::Bin {
-                op: BinOp::Add,
-                ty: Ty::Int,
-                dst: acc,
-                lhs: acc.into(),
-                rhs: v.into(),
-            },
-            Inst::Bin {
-                op: BinOp::Add,
-                ty: Ty::Int,
-                dst: i,
-                lhs: i.into(),
-                rhs: Operand::ImmInt(1),
-            },
         ];
-        f.blocks[body.index()].term = Terminator::Jump(header);
+        f.blocks[odd.index()].term = Terminator::Jump(latch);
+        f.blocks[even.index()].insts = vec![bin(BinOp::Sub, acc, acc.into(), v.into())];
+        f.blocks[even.index()].term = Terminator::Jump(latch);
+        f.blocks[latch.index()].insts = vec![bin(BinOp::Add, i, i.into(), Operand::ImmInt(1))];
+        f.blocks[latch.index()].term = Terminator::Jump(header);
         f.blocks[exit.index()].term = Terminator::Return(Some(acc.into()));
         p.add_function(f);
         p
     }
 
+    /// The callbacks a timing model consumes, recorded in order.
+    #[derive(Default)]
+    struct Recording(Vec<Callback>);
+
+    #[derive(Clone, Copy)]
+    enum Callback {
+        Inst(InstEvent),
+        Branch(InstSite, u32, bool),
+    }
+
+    impl Observer for Recording {
+        fn on_inst(&mut self, event: &InstEvent) {
+            self.0.push(Callback::Inst(*event));
+        }
+        fn on_branch(&mut self, site: InstSite, site_id: u32, taken: bool) {
+            self.0.push(Callback::Branch(site, site_id, taken));
+        }
+    }
+
+    fn replay(obs: &mut impl Observer, stream: &[Callback]) {
+        for cb in stream {
+            match *cb {
+                Callback::Inst(e) => obs.on_inst(&e),
+                Callback::Branch(site, id, taken) => obs.on_branch(site, id, taken),
+            }
+        }
+    }
+
+    /// Table III, the extended roster and Figure 10's sizes: shared and
+    /// private caches, in-order and out-of-order lanes, a duplicate lane.
+    fn mixed_configs() -> Vec<PipelineConfig> {
+        MachineConfig::table3_extended()
+            .iter()
+            .map(|m| m.pipeline)
+            .chain([8, 16, 32].map(PipelineConfig::ptlsim_2wide))
+            .collect()
+    }
+
     /// The scalar oracle's result for one config.
     fn oracle(image: &ExecImage, config: PipelineConfig) -> PipelineResult {
+        oracle_under(image, config, &ExecConfig::default())
+    }
+
+    fn oracle_under(image: &ExecImage, config: PipelineConfig, run: &ExecConfig) -> PipelineResult {
         let mut sim = PipelineSim::from_image(config, image);
-        execute_image(image, &mut sim, &ExecConfig::default());
+        execute_image(image, &mut sim, run);
         sim.result()
     }
 
     #[test]
+    fn every_lane_equals_the_oracle_at_budgets_around_the_chunk_size() {
+        let image = ExecImage::new(&noisy_loop(1000));
+        let configs = mixed_configs();
+        let budgets = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1].map(|b| b as u64);
+        for budget in budgets.into_iter().chain([u64::MAX]) {
+            let run = ExecConfig {
+                max_instructions: budget,
+                ..ExecConfig::default()
+            };
+            let mut sim = BatchedPipelineSim::from_image(&configs, &image);
+            execute_image(&image, &mut sim, &run);
+            let results = sim.results();
+            assert!(results[0].branches.branches > results[0].branches.correct);
+            for (c, r) in configs.iter().zip(&results) {
+                assert_eq!(*r, oracle_under(&image, *c, &run), "budget {budget}: {c:?}");
+            }
+            assert_eq!(sim.results(), results, "budget {budget}: second results()");
+        }
+    }
+
+    #[test]
+    fn a_redirect_closing_a_chunk_is_applied_before_the_next_chunk() {
+        let image = ExecImage::new(&noisy_loop(300));
+        let mut recording = Recording::default();
+        execute_image(&image, &mut recording, &ExecConfig::default());
+        let stream = recording.0;
+        let configs = mixed_configs();
+
+        // Entries recorded before the first misprediction's marker.
+        let mut probe = BatchedPipelineSim::from_image(&configs, &image);
+        let mut before = None;
+        for cb in &stream {
+            let entries =
+                probe.instructions + probe.branch_stats.branches - probe.branch_stats.correct;
+            replay(&mut probe, std::slice::from_ref(cb));
+            if probe.branch_stats.branches > probe.branch_stats.correct {
+                before = Some(entries as usize);
+                break;
+            }
+        }
+        let before = before.expect("the noisy branch mispredicts");
+        assert!(before < CHUNK);
+
+        // Pad the stream's front so that marker is the chunk's last entry.
+        let Some(Callback::Inst(first)) = stream.first().copied() else {
+            panic!("the stream starts with an instruction");
+        };
+        let mut padded = vec![Callback::Inst(first); CHUNK - 1 - before];
+        padded.extend_from_slice(&stream);
+        let mut sim = BatchedPipelineSim::from_image(&configs, &image);
+        let mut closed_by_redirect = false;
+        for cb in &padded {
+            let full_but_one = sim.events.len() == CHUNK - 1;
+            let redirects = sim.branch_stats.branches - sim.branch_stats.correct;
+            replay(&mut sim, std::slice::from_ref(cb));
+            if sim.branch_stats.branches - sim.branch_stats.correct > redirects {
+                closed_by_redirect |= full_but_one && sim.events.is_empty();
+            }
+        }
+        assert!(closed_by_redirect, "no redirect closed a chunk");
+        for (c, r) in configs.iter().zip(sim.results()) {
+            let mut scalar = PipelineSim::from_image(*c, &image);
+            replay(&mut scalar, &padded);
+            assert_eq!(r, scalar.result(), "{c:?}");
+        }
+    }
+
+    #[test]
     fn batched_lanes_equal_the_oracle_on_table3_and_fig10() {
-        let image = ExecImage::new(&mixed_loop(4000, 7));
+        let image = ExecImage::new(&noisy_loop(4000));
         let configs: Vec<PipelineConfig> = MachineConfig::table3()
             .iter()
             .map(|m| m.pipeline)
@@ -476,7 +674,7 @@ mod tests {
 
     #[test]
     fn duplicate_configs_share_a_lane_and_report_identical_results() {
-        let image = ExecImage::new(&mixed_loop(500, 3));
+        let image = ExecImage::new(&noisy_loop(500));
         let cfg = PipelineConfig::ptlsim_2wide(16);
         let r = simulate_image_batch(&image, &[cfg, cfg, cfg]);
         assert_eq!(r.len(), 3);
@@ -487,13 +685,13 @@ mod tests {
 
     #[test]
     fn empty_config_list_yields_no_results() {
-        let image = ExecImage::new(&mixed_loop(10, 1));
+        let image = ExecImage::new(&noisy_loop(10));
         assert!(simulate_image_batch(&image, &[]).is_empty());
     }
 
     #[test]
     fn run_batch_matches_the_oracle_per_machine() {
-        let image = ExecImage::new(&mixed_loop(2000, 5));
+        let image = ExecImage::new(&noisy_loop(2000));
         let machines = MachineConfig::table3_extended();
         let batched = MachineConfig::run_batch(&machines, &image);
         assert_eq!(batched.len(), machines.len());

@@ -139,12 +139,11 @@ impl PipelineResult {
 
 /// Per-static-instruction register information, predecoded by the
 /// [`ExecImage`] so the timing model does one array index per dynamic
-/// instruction (no hashing, no allocation).  Shared with the batched
-/// multi-config model in [`crate::batch`].
+/// instruction (no hashing, no allocation).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SiteInfo {
-    pub(crate) def: Option<Reg>,
-    pub(crate) uses: [Option<Reg>; 3],
+struct SiteInfo {
+    def: Option<Reg>,
+    uses: [Option<Reg>; 3],
 }
 
 /// Issue-to-complete latency of an instruction class, excluding the memory

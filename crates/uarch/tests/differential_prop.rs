@@ -166,7 +166,9 @@ proptest! {
             PipelineConfig::out_of_order(2, 0, 8, 256, 10),
         ];
         for image in [ExecImage::new(&program), ExecImage::unfused(&program)] {
-            for budget in [3u64, 7, 26, 97, 331, 20_000] {
+            // 2047..=2049 and 4097 straddle the batched model's 2048-entry
+            // replay chunk.
+            for budget in [3u64, 7, 26, 97, 331, 2047, 2048, 2049, 4097, 20_000] {
                 let config = ExecConfig { max_instructions: budget, max_call_depth: 13 };
                 let mut batched = BatchedPipelineSim::from_image(&configs, &image);
                 execute_image(&image, &mut batched, &config);
