@@ -12,31 +12,21 @@
 //!   [`bsg_runtime::with_workers`] overrides) and returns a [`Measured`]
 //!   whose values are in **submission order** — figure text derived from it
 //!   is byte-identical at any worker count.
-//! * [`cross`] and [`refs`] build the axis products declaratively, so a
-//!   figure spec reads as "per workload, per (level, variant)" instead of
-//!   nested `flat_map`s.
 //! * [`Section`] + the [`crate::FIGURES`] table turn every table and figure
 //!   into a name lookup: which sections to render, over which input sizes —
 //!   a data change, not a code change, when a figure is added.
-//!
-//! A figure function is now a ~20-line spec: build the grid, give the
-//! measure closure, zip the chunked results into rows.
+//! * A measuring section ([`Measure`]) is a list of requests plus a render
+//!   over their observations; [`render_sections`] serves the requests of
+//!   every section it renders from one plan ([`mod@crate::observe`]), so a
+//!   binary that several figures read runs once.
 
+use crate::observe::{observe, Observation, Request};
 use crate::WorkloadArtifacts;
 use bsg_runtime::{panic_message, BsgError, BsgResult, Runtime};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::slice::ChunksExact;
 
-/// Builds every `(a, b)` pair, `a`-major (`b` is the fast axis), the order
-/// every figure renders its columns in.
-pub fn cross<A: Clone, B: Clone>(a: &[A], b: &[B]) -> Vec<(A, B)> {
-    a.iter()
-        .flat_map(|x| b.iter().map(move |y| (x.clone(), y.clone())))
-        .collect()
-}
-
-/// Borrows a slice element-wise (`&[T]` → `Vec<&T>`), so item axes compose
-/// with [`cross`] without cloning the items.
+/// Borrows a slice element-wise (`&[T]` → `Vec<&T>`), so a sweep over
+/// items does not clone them.
 pub fn refs<T>(items: &[T]) -> Vec<&T> {
     items.iter().collect()
 }
@@ -47,8 +37,7 @@ pub struct Experiment<U: Send> {
 }
 
 impl<U: Send> Experiment<U> {
-    /// An experiment over an explicit unit grid (usually built with
-    /// [`cross`]).
+    /// An experiment over an explicit unit grid.
     pub fn over(units: Vec<U>) -> Self {
         Experiment { units }
     }
@@ -97,51 +86,113 @@ pub struct Measured<U, M> {
 }
 
 impl<U, M> Measured<U, M> {
-    /// The values grouped `per` fast-axis points: one chunk per slow-axis
-    /// item (e.g. one chunk of 4 level/variant points per workload).
-    ///
-    /// `points` must be non-zero (`chunks_exact` panics on 0); callers whose
-    /// chunk size derives from a possibly-empty axis clamp with `.max(1)`.
-    pub fn per(&self, points: usize) -> ChunksExact<'_, M> {
-        self.values.chunks_exact(points)
-    }
-
     /// `(unit, value)` rows in submission order.
     pub fn rows(&self) -> impl Iterator<Item = (&U, &M)> {
         self.units.iter().zip(self.values.iter())
     }
 }
 
-/// One renderable section of the report: either standalone (tables and
-/// figures that need no suite artifacts) or a figure over the prepared
-/// suite.
+/// A section that measures through the report-wide plan
+/// ([`mod@crate::observe`]): it lists the requests it reads, and renders from
+/// their observations.
+pub trait Measure: Sync {
+    /// The requests the section reads, in the order [`render`](Self::render)
+    /// takes their observations.
+    fn requests(&self, artifacts: &[WorkloadArtifacts]) -> Vec<Request>;
+
+    /// Renders the section from one observation per request.
+    fn render(&self, artifacts: &[WorkloadArtifacts], observations: &[Observation]) -> String;
+}
+
+/// One renderable section of the report: standalone (tables and figures
+/// that need no suite artifacts), a figure over the prepared suite, or a
+/// figure measured through the report-wide plan.
 #[derive(Clone, Copy)]
 pub enum Section {
     /// Renders without suite artifacts (Table I/III, Figures 2–3).
     Standalone(fn() -> String),
     /// Renders from prepared workload artifacts.
     Suite(fn(&[WorkloadArtifacts]) -> String),
+    /// Renders from observations of the prepared suite (Figures 5–11).
+    Measure(&'static dyn Measure),
 }
 
 impl Section {
-    /// Renders the section (`artifacts` is ignored by standalone sections).
+    /// Renders the section alone (`artifacts` is ignored by standalone
+    /// sections): a report of one section.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the section's fault if it fails.
     pub fn render(&self, artifacts: &[WorkloadArtifacts]) -> String {
-        match self {
-            Section::Standalone(f) => f(),
-            Section::Suite(f) => f(artifacts),
-        }
+        self.try_render(artifacts).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`render`](Section::render) behind a panic boundary: a section that
-    /// panics becomes an `Err` instead of tearing down the whole report, so
+    /// fails becomes an `Err` instead of tearing down the whole report, so
     /// `all_experiments` can keep printing the sections after it.
     pub fn try_render(&self, artifacts: &[WorkloadArtifacts]) -> BsgResult<String> {
-        catch_unwind(AssertUnwindSafe(|| self.render(artifacts))).map_err(|payload| {
-            BsgError::TaskPanic {
-                message: panic_message(payload.as_ref()),
+        let mut texts = render_sections(std::slice::from_ref(self), artifacts);
+        texts.pop().expect("one result per section")
+    }
+}
+
+/// A section after the first pass of [`render_sections`].
+enum Pass {
+    /// A section that needs no observations, rendered.
+    Rendered(String),
+    /// A measuring section and its requests.
+    Planned(&'static dyn Measure, Vec<Request>),
+}
+
+/// Renders `sections` over `artifacts`, one result per section in order.
+/// The measuring sections share one [`observe`] plan.  A first scheduler
+/// batch plans every measuring section and renders every other one, each
+/// task behind its own panic boundary; then every request of every section
+/// is served with one execution per distinct compiled program.  A fault —
+/// in a section's planning, in a compilation or shared execution it reads,
+/// or in its renderer — fails exactly the sections that read it; every
+/// other section renders what it renders alone.
+pub fn render_sections(
+    sections: &[Section],
+    artifacts: &[WorkloadArtifacts],
+) -> Vec<BsgResult<String>> {
+    let passes = Runtime::current().try_map(sections.to_vec(), |section| match section {
+        Section::Standalone(f) => Pass::Rendered(f()),
+        Section::Suite(f) => Pass::Rendered(f(artifacts)),
+        Section::Measure(m) => Pass::Planned(m, m.requests(artifacts)),
+    });
+    let mut requests = Vec::new();
+    let mut ranges = Vec::new();
+    for pass in &passes {
+        let start = requests.len();
+        if let Ok(Pass::Planned(_, plan)) = pass {
+            requests.extend_from_slice(plan);
+        }
+        ranges.push(start..requests.len());
+    }
+    let observed = observe(artifacts, &requests).observations;
+    passes
+        .into_iter()
+        .zip(ranges)
+        .map(|(pass, range)| match pass? {
+            Pass::Rendered(text) => Ok(text),
+            Pass::Planned(m, _) => {
+                let observations = observed[range]
+                    .iter()
+                    .cloned()
+                    .collect::<BsgResult<Vec<_>>>()?;
+                isolate(|| m.render(artifacts, &observations))
             }
         })
-    }
+        .collect()
+}
+
+/// Runs `f` behind a panic boundary.
+fn isolate<R>(f: impl FnOnce() -> R) -> BsgResult<R> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| BsgError::TaskPanic {
+        message: panic_message(payload.as_ref()),
+    })
 }
 
 #[cfg(test)]
@@ -149,12 +200,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cross_is_a_major_and_refs_borrows() {
-        let grid = cross(&['x', 'y'], &[1, 2, 3]);
-        assert_eq!(
-            grid,
-            vec![('x', 1), ('x', 2), ('x', 3), ('y', 1), ('y', 2), ('y', 3)]
-        );
+    fn refs_borrows() {
         let items = vec![String::from("a"), String::from("b")];
         let borrowed = refs(&items);
         assert_eq!(borrowed, vec![&items[0], &items[1]]);
@@ -165,7 +211,6 @@ mod tests {
         let m = Experiment::over((0u64..97).collect()).measure(|u| u * 3);
         assert_eq!(m.units, (0u64..97).collect::<Vec<_>>());
         assert_eq!(m.values, (0u64..97).map(|u| u * 3).collect::<Vec<_>>());
-        assert_eq!(m.per(97).count(), 1);
         assert_eq!(m.rows().count(), 97);
     }
 }

@@ -1,6 +1,6 @@
 //! # bsg-bench — experiment harness for the IISWC 2010 reproduction
 //!
-//! One function per table / figure of the paper's evaluation section; the
+//! One section per table / figure of the paper's evaluation section; the
 //! `bsg-figure` binary looks its argument up in the declarative [`FIGURES`]
 //! registry.  Run e.g. `cargo run -p bsg-bench --release --bin bsg-figure
 //! -- fig04`, or `all_experiments` for the whole report.
@@ -12,14 +12,19 @@
 //!
 //! # The declarative pipeline
 //!
-//! Every figure is a ~20-line spec over three shared layers:
+//! Every figure is a short spec over four shared layers:
 //!
 //! * the [`bsg_workloads::WorkloadRegistry`] supplies the suite (the
 //!   paper's 13 MiBench kernels plus the SPEC-like extensions), built once
 //!   per process and iterated in a stable order;
-//! * the [`experiment`] module turns an axis product ([`cross`]) into
-//!   scheduler-sharded measurements ([`Experiment::measure`]) with
-//!   deterministic, submission-ordered results;
+//! * the [`experiment`] module fans independent units out on the scheduler
+//!   ([`Experiment::measure`]) with deterministic, submission-ordered
+//!   results, and renders [`Section`]s;
+//! * the measurement plan ([`mod@observe`]) serves the measuring sections
+//!   (Figures 5–11): each lists its requests — (unit, compile options,
+//!   probe) — and renders from their observations, and the plan runs one
+//!   functional execution per distinct compiled program across every
+//!   section of a report, however many figures read it;
 //! * the [`ArtifactStore`] memoizes compiled programs, predecoded images, C
 //!   text, profiles and synthesis results behind `Arc`s — content-addressed,
 //!   built once per process, and (since PR 4) persisted to a disk tier so
@@ -32,23 +37,22 @@
 #![warn(missing_docs)]
 
 pub mod experiment;
+pub mod observe;
 
 /// The suite types this crate's public API takes and returns.
 pub use bsg_workloads::{suite, InputSize, Workload};
-pub use experiment::{cross, refs, Experiment, Measured, Section};
+pub use experiment::{refs, render_sections, Experiment, Measure, Measured, Section};
+pub use observe::{observe, Observation, Observed, Probe, Request, Unit, SWEEP_KB};
 
 use bsg_compiler::{CompileOptions, OptLevel, TargetIsa};
 use bsg_ir::hll::HllProgram;
-use bsg_profile::{MixObserver, NodeKey, ProfileConfig, Sfgl, SfglLoop, StatisticalProfile};
+use bsg_profile::{NodeKey, ProfileConfig, Sfgl, SfglLoop, StatisticalProfile};
 use bsg_runtime::{ArtifactStore, CompiledArtifact, Runtime, SourceId};
 use bsg_similarity::SimilarityReport;
 use bsg_synth::{scale_down, SynthesisConfig, TargetedSynthesis};
-use bsg_uarch::batch::simulate_image_batch;
-use bsg_uarch::branch::{Hybrid, PredictorObserver};
-use bsg_uarch::cache::{CacheConfig, CacheObserver};
-use bsg_uarch::exec::{execute_image, ExecConfig};
+use bsg_uarch::cache::CacheConfig;
 use bsg_uarch::machine::{MachineConfig, MachineIsa};
-use bsg_uarch::pipeline::{PipelineConfig, PipelineResult};
+use bsg_uarch::pipeline::PipelineConfig;
 use bsg_workloads::fibonacci_workload;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -134,20 +138,17 @@ impl WorkloadArtifacts {
     /// compiled with `options`: one store lookup, compiling and predecoding
     /// at most once per (source, options) per process.
     pub fn compiled(&self, options: &CompileOptions, synthetic: bool) -> Arc<CompiledArtifact> {
-        let (id, hll) = if synthetic {
-            (self.synthetic_id, &self.synthesis.benchmark.hll)
-        } else {
-            (self.original_id, self.workload.program.as_ref())
-        };
+        let (id, hll) = self.source(synthetic);
         ArtifactStore::global().compiled_keyed(id, hll, options)
     }
 
-    /// Compiles the original and the clone with the same options.
-    pub fn compile_pair(
-        &self,
-        options: &CompileOptions,
-    ) -> (Arc<CompiledArtifact>, Arc<CompiledArtifact>) {
-        (self.compiled(options, false), self.compiled(options, true))
+    /// The original's or the clone's HLL source and its content address.
+    fn source(&self, synthetic: bool) -> (SourceId, &HllProgram) {
+        if synthetic {
+            (self.synthetic_id, &self.synthesis.benchmark.hll)
+        } else {
+            (self.original_id, self.workload.program.as_ref())
+        }
     }
 }
 
@@ -252,9 +253,20 @@ pub fn try_render_report() -> (String, Vec<ReportFault>) {
             Err(error) => faults.push(ReportFault::Prepare { name, error }),
         }
     }
+    let (report, section_faults) = render_report(&artifacts);
+    faults.extend(section_faults);
+    (report, faults)
+}
+
+/// Renders every [`ALL_EXPERIMENTS`] section over `artifacts` through one
+/// shared measurement plan ([`render_sections`]), each followed by a blank
+/// line; a failed section is skipped and reported as
+/// [`ReportFault::Section`].
+pub fn render_report(artifacts: &[WorkloadArtifacts]) -> (String, Vec<ReportFault>) {
     let mut report = String::new();
-    for section in ALL_EXPERIMENTS {
-        match section.try_render(&artifacts) {
+    let mut faults = Vec::new();
+    for text in render_sections(ALL_EXPERIMENTS, artifacts) {
+        match text {
             Ok(text) => {
                 report.push_str(&text);
                 report.push('\n');
@@ -274,21 +286,6 @@ pub fn target_isa_for(machine: MachineIsa) -> TargetIsa {
     }
 }
 
-fn dynamic_instructions(a: &CompiledArtifact) -> u64 {
-    execute_image(
-        &a.image,
-        &mut bsg_uarch::exec::NullObserver,
-        &ExecConfig::default(),
-    )
-    .dynamic_instructions
-}
-
-fn mix_of(a: &CompiledArtifact) -> bsg_profile::InstructionMix {
-    let mut obs = MixObserver::default();
-    execute_image(&a.image, &mut obs, &ExecConfig::default());
-    obs.mix()
-}
-
 // ---------------------------------------------------------------------------
 // The figure registry: every `bsg-figure <name>` is a row in this table.
 // ---------------------------------------------------------------------------
@@ -303,19 +300,6 @@ pub struct FigureSpec {
     pub inputs: &'static [InputSize],
     /// The sections printed, joined by a blank line.
     pub sections: &'static [Section],
-}
-
-fn fig06_o0(a: &[WorkloadArtifacts]) -> String {
-    fig06(a, OptLevel::O0)
-}
-fn fig06_o2(a: &[WorkloadArtifacts]) -> String {
-    fig06(a, OptLevel::O2)
-}
-fn fig07(a: &[WorkloadArtifacts]) -> String {
-    fig07_08(a, OptLevel::O0)
-}
-fn fig08(a: &[WorkloadArtifacts]) -> String {
-    fig07_08(a, OptLevel::O2)
 }
 
 /// Every table and figure `bsg-figure` renders, declaratively.
@@ -358,42 +342,42 @@ pub const FIGURES: &[FigureSpec] = &[
     FigureSpec {
         name: "fig05",
         inputs: &[InputSize::Small],
-        sections: &[Section::Suite(fig05)],
+        sections: &[FIG05],
     },
     FigureSpec {
         name: "fig06",
         inputs: &[InputSize::Small],
-        sections: &[Section::Suite(fig06_o0), Section::Suite(fig06_o2)],
+        sections: &[FIG06_O0, FIG06_O2],
     },
     FigureSpec {
         name: "fig07",
         inputs: &[InputSize::Small],
-        sections: &[Section::Suite(fig07)],
+        sections: &[FIG07],
     },
     FigureSpec {
         name: "fig08",
         inputs: &[InputSize::Small],
-        sections: &[Section::Suite(fig08)],
+        sections: &[FIG08],
     },
     FigureSpec {
         name: "fig09",
         inputs: &[InputSize::Small],
-        sections: &[Section::Suite(fig09)],
+        sections: &[FIG09],
     },
     FigureSpec {
         name: "fig10",
         inputs: &[InputSize::Small],
-        sections: &[Section::Suite(fig10)],
+        sections: &[FIG10],
     },
     FigureSpec {
         name: "fig11",
         inputs: &[InputSize::Small],
-        sections: &[Section::Suite(fig11)],
+        sections: &[FIG11],
     },
     FigureSpec {
         name: "fig11x",
         inputs: &[InputSize::Small],
-        sections: &[Section::Suite(fig11x)],
+        sections: &[FIG11X],
     },
     FigureSpec {
         name: "obfuscation",
@@ -409,14 +393,14 @@ pub const ALL_EXPERIMENTS: &[Section] = &[
     Section::Standalone(table3),
     Section::Standalone(fig02),
     Section::Suite(fig04),
-    Section::Suite(fig05),
-    Section::Suite(fig06_o0),
-    Section::Suite(fig06_o2),
-    Section::Suite(fig07),
-    Section::Suite(fig08),
-    Section::Suite(fig09),
-    Section::Suite(fig10),
-    Section::Suite(fig11),
+    FIG05,
+    FIG06_O0,
+    FIG06_O2,
+    FIG07,
+    FIG08,
+    FIG09,
+    FIG10,
+    FIG11,
     Section::Suite(obfuscation),
 ];
 
@@ -438,9 +422,9 @@ pub fn render_figure(name: &str) -> String {
     for input in spec.inputs {
         artifacts.extend(prepare_suite(*input, SYNTH_TARGET_INSTRUCTIONS));
     }
-    spec.sections
-        .iter()
-        .map(|s| s.render(&artifacts))
+    render_sections(spec.sections, &artifacts)
+        .into_iter()
+        .map(|text| text.unwrap_or_else(|e| panic!("{e}")))
         .collect::<Vec<_>>()
         .join("\n")
 }
@@ -683,370 +667,379 @@ pub fn fig04(artifacts: &[WorkloadArtifacts]) -> String {
     out
 }
 
+/// The requests of a workload × point × probe grid on x86 (workload-major,
+/// probes fastest), the order the suite figures render their rows in.  A
+/// point is an (optimization level, synthetic?) pair.
+fn x86_grid(
+    artifacts: &[WorkloadArtifacts],
+    points: &[(OptLevel, bool)],
+    probes: &[Probe],
+) -> Vec<Request> {
+    let mut requests = Vec::new();
+    for i in 0..artifacts.len() {
+        for &(level, synthetic) in points {
+            for &probe in probes {
+                requests.push(Request {
+                    unit: if synthetic {
+                        Unit::Synthetic(i)
+                    } else {
+                        Unit::Original(i)
+                    },
+                    options: CompileOptions::new(level, TargetIsa::X86),
+                    probe,
+                });
+            }
+        }
+    }
+    requests
+}
+
 /// Figure 5: normalized dynamic instruction count across optimization levels
 /// (average over the suite), original versus synthetic.
-pub fn fig05(artifacts: &[WorkloadArtifacts]) -> String {
-    // Axes: level (slow) × workload (fast); measure: (org, syn) counts.
-    let m = Experiment::over(cross(&OptLevel::ALL, &refs(artifacts))).measure(|(level, a)| {
-        let (o, s) = a.compile_pair(&CompileOptions::new(*level, TargetIsa::X86));
-        (
-            dynamic_instructions(&o) as f64,
-            dynamic_instructions(&s) as f64,
-        )
-    });
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Figure 5 — normalized dynamic instruction count vs optimization level"
-    );
-    let _ = writeln!(out, "{:<8} {:>12} {:>12}", "level", "original", "synthetic");
-    let mut base: Option<(f64, f64)> = None;
-    // `.max(1)`: an empty artifact slice must render a header-only figure
-    // (chunks_exact panics on 0), matching the pre-refactor behaviour.
-    for (level, per_level) in OptLevel::ALL.into_iter().zip(m.per(artifacts.len().max(1))) {
-        let org: f64 = per_level.iter().map(|(o, _)| o).sum();
-        let syn: f64 = per_level.iter().map(|(_, s)| s).sum();
-        let (org_base, syn_base) = *base.get_or_insert((org, syn));
+struct Fig05;
+
+impl Measure for Fig05 {
+    fn requests(&self, artifacts: &[WorkloadArtifacts]) -> Vec<Request> {
+        // Level (slow) × workload × (original, synthetic).
+        OptLevel::ALL
+            .iter()
+            .flat_map(|&level| {
+                x86_grid(artifacts, &[(level, false), (level, true)], &[Probe::Count])
+            })
+            .collect()
+    }
+
+    fn render(&self, artifacts: &[WorkloadArtifacts], observations: &[Observation]) -> String {
+        let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<8} {:>11.1}% {:>11.1}%",
-            level.to_string(),
-            org / org_base * 100.0,
-            syn / syn_base * 100.0
+            "Figure 5 — normalized dynamic instruction count vs optimization level"
         );
+        let _ = writeln!(out, "{:<8} {:>12} {:>12}", "level", "original", "synthetic");
+        let mut base: Option<(f64, f64)> = None;
+        // `.max(1)`: an empty artifact slice must render a header-only figure
+        // (chunks_exact panics on 0), matching the pre-refactor behaviour.
+        let per_level = observations.chunks_exact(2 * artifacts.len().max(1));
+        for (level, pairs) in OptLevel::ALL.into_iter().zip(per_level) {
+            let pairs = pairs.chunks_exact(2);
+            let org: f64 = pairs.clone().map(|p| p[0].count() as f64).sum();
+            let syn: f64 = pairs.map(|p| p[1].count() as f64).sum();
+            let (org_base, syn_base) = *base.get_or_insert((org, syn));
+            let _ = writeln!(
+                out,
+                "{:<8} {:>11.1}% {:>11.1}%",
+                level.to_string(),
+                org / org_base * 100.0,
+                syn / syn_base * 100.0
+            );
+        }
+        out
     }
-    out
 }
 
 /// Figure 6: instruction mix (loads / stores / branches / others) at the given
 /// optimization level, original versus synthetic, per benchmark and average.
-pub fn fig06(artifacts: &[WorkloadArtifacts], level: OptLevel) -> String {
-    use bsg_ir::visa::MixCategory;
-    // Axes: workload × original/synthetic; measure: the four mix fractions.
-    let m = Experiment::over(cross(&refs(artifacts), &[false, true])).measure(|(a, synthetic)| {
-        let mix = mix_of(&a.compiled(&CompileOptions::new(level, TargetIsa::X86), *synthetic))
-            .category_fractions();
-        let get = |c: MixCategory| mix.get(&c).copied().unwrap_or(0.0);
-        [
-            get(MixCategory::Load),
-            get(MixCategory::Store),
-            get(MixCategory::Branch),
-            get(MixCategory::Other),
-        ]
-    });
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Figure 6 — instruction mix at {level} (ORG = original, SYN = synthetic)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<24} {:>7} {:>7} {:>7} {:>7}   {:>7} {:>7} {:>7} {:>7}",
-        "benchmark", "ld", "st", "br", "other", "ld", "st", "br", "other"
-    );
-    let mut avg_org = [0.0f64; 4];
-    let mut avg_syn = [0.0f64; 4];
-    for (a, rows) in artifacts.iter().zip(m.per(2)) {
-        let (row_o, row_s) = (rows[0], rows[1]);
-        for i in 0..4 {
-            avg_org[i] += row_o[i] / artifacts.len() as f64;
-            avg_syn[i] += row_s[i] / artifacts.len() as f64;
+struct Fig06(OptLevel);
+
+impl Measure for Fig06 {
+    fn requests(&self, artifacts: &[WorkloadArtifacts]) -> Vec<Request> {
+        x86_grid(artifacts, &[(self.0, false), (self.0, true)], &[Probe::Mix])
+    }
+
+    fn render(&self, artifacts: &[WorkloadArtifacts], observations: &[Observation]) -> String {
+        use bsg_ir::visa::MixCategory;
+        let level = self.0;
+        let fractions = |o: &Observation| {
+            let mix = o.mix().category_fractions();
+            let get = |c: MixCategory| mix.get(&c).copied().unwrap_or(0.0);
+            [
+                get(MixCategory::Load),
+                get(MixCategory::Store),
+                get(MixCategory::Branch),
+                get(MixCategory::Other),
+            ]
+        };
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "Figure 6 — instruction mix at {level} (ORG = original, SYN = synthetic)"
+        );
+        let _ = writeln!(
+            out,
+            "{:<24} {:>7} {:>7} {:>7} {:>7}   {:>7} {:>7} {:>7} {:>7}",
+            "benchmark", "ld", "st", "br", "other", "ld", "st", "br", "other"
+        );
+        let mut avg_org = [0.0f64; 4];
+        let mut avg_syn = [0.0f64; 4];
+        for (a, rows) in artifacts.iter().zip(observations.chunks_exact(2)) {
+            let (row_o, row_s) = (fractions(&rows[0]), fractions(&rows[1]));
+            for i in 0..4 {
+                avg_org[i] += row_o[i] / artifacts.len() as f64;
+                avg_syn[i] += row_s[i] / artifacts.len() as f64;
+            }
+            let _ = writeln!(
+                out,
+                "{:<24} {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%   {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%",
+                a.workload.name,
+                row_o[0] * 100.0,
+                row_o[1] * 100.0,
+                row_o[2] * 100.0,
+                row_o[3] * 100.0,
+                row_s[0] * 100.0,
+                row_s[1] * 100.0,
+                row_s[2] * 100.0,
+                row_s[3] * 100.0
+            );
         }
         let _ = writeln!(
             out,
             "{:<24} {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%   {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%",
-            a.workload.name,
-            row_o[0] * 100.0,
-            row_o[1] * 100.0,
-            row_o[2] * 100.0,
-            row_o[3] * 100.0,
-            row_s[0] * 100.0,
-            row_s[1] * 100.0,
-            row_s[2] * 100.0,
-            row_s[3] * 100.0
+            "average",
+            avg_org[0] * 100.0,
+            avg_org[1] * 100.0,
+            avg_org[2] * 100.0,
+            avg_org[3] * 100.0,
+            avg_syn[0] * 100.0,
+            avg_syn[1] * 100.0,
+            avg_syn[2] * 100.0,
+            avg_syn[3] * 100.0
         );
+        out
     }
-    let _ = writeln!(
-        out,
-        "{:<24} {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%   {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%",
-        "average",
-        avg_org[0] * 100.0,
-        avg_org[1] * 100.0,
-        avg_org[2] * 100.0,
-        avg_org[3] * 100.0,
-        avg_syn[0] * 100.0,
-        avg_syn[1] * 100.0,
-        avg_syn[2] * 100.0,
-        avg_syn[3] * 100.0
-    );
-    out
 }
 
 /// Figures 7 and 8: data-cache hit rates from 1 KB to 32 KB at the given
 /// optimization level, original versus synthetic.
-pub fn fig07_08(artifacts: &[WorkloadArtifacts], level: OptLevel) -> String {
-    let sizes = [1u64, 2, 4, 8, 16, 32];
-    // Axes: workload × original/synthetic; the whole 1–32 KB sweep shares a
-    // single execution through the multi-cache observer.
-    let m = Experiment::over(cross(&refs(artifacts), &[false, true])).measure(|(a, synthetic)| {
-        let art = a.compiled(&CompileOptions::new(level, TargetIsa::X86), *synthetic);
-        let mut obs = CacheObserver::new(sizes.map(CacheConfig::kb));
-        execute_image(&art.image, &mut obs, &ExecConfig::default());
-        obs.sweep
-            .results()
-            .iter()
-            .map(|(_, st)| st.hit_rate())
-            .collect::<Vec<f64>>()
-    });
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Figures 7/8 — data cache hit rates at {level} (original | synthetic)"
-    );
-    let header: Vec<String> = sizes.iter().map(|s| format!("{s}KB")).collect();
-    let _ = writeln!(
-        out,
-        "{:<24} {}  |  {}",
-        "benchmark",
-        header.join("  "),
-        header.join("  ")
-    );
-    for (a, pair) in artifacts.iter().zip(m.per(2)) {
-        let fmt = |v: &[f64]| {
-            v.iter()
-                .map(|r| format!("{:>4.1}", r * 100.0))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
+struct HitRates(OptLevel);
+
+impl Measure for HitRates {
+    fn requests(&self, artifacts: &[WorkloadArtifacts]) -> Vec<Request> {
+        x86_grid(
+            artifacts,
+            &[(self.0, false), (self.0, true)],
+            &[Probe::Caches],
+        )
+    }
+
+    fn render(&self, artifacts: &[WorkloadArtifacts], observations: &[Observation]) -> String {
+        let level = self.0;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "Figures 7/8 — data cache hit rates at {level} (original | synthetic)"
+        );
+        let header: Vec<String> = SWEEP_KB.iter().map(|s| format!("{s}KB")).collect();
         let _ = writeln!(
             out,
             "{:<24} {}  |  {}",
-            a.workload.name,
-            fmt(&pair[0]),
-            fmt(&pair[1])
+            "benchmark",
+            header.join("  "),
+            header.join("  ")
         );
+        let fmt = |o: &Observation| {
+            o.caches()
+                .iter()
+                .map(|st| format!("{:>4.1}", st.hit_rate() * 100.0))
+                .collect::<Vec<_>>()
+                .join("  ")
+        };
+        for (a, pair) in artifacts.iter().zip(observations.chunks_exact(2)) {
+            let _ = writeln!(
+                out,
+                "{:<24} {}  |  {}",
+                a.workload.name,
+                fmt(&pair[0]),
+                fmt(&pair[1])
+            );
+        }
+        out
     }
-    out
 }
 
 /// Figure 9: branch prediction accuracy with the hybrid predictor, original
 /// and synthetic, at -O0 and -O2.
-pub fn fig09(artifacts: &[WorkloadArtifacts]) -> String {
-    // Axes: workload × (level, variant) in the column order of the figure.
-    let points = [
-        (OptLevel::O0, false),
-        (OptLevel::O2, false),
-        (OptLevel::O0, true),
-        (OptLevel::O2, true),
-    ];
-    let m =
-        Experiment::over(cross(&refs(artifacts), &points)).measure(|(a, (level, synthetic))| {
-            let art = a.compiled(&CompileOptions::new(*level, TargetIsa::X86), *synthetic);
-            let mut obs = PredictorObserver::new(Hybrid::default_config());
-            execute_image(&art.image, &mut obs, &ExecConfig::default());
-            obs.stats.accuracy() * 100.0
-        });
-    let mut out = String::new();
-    let _ = writeln!(out, "Figure 9 — hybrid branch predictor accuracy");
-    let _ = writeln!(
-        out,
-        "{:<24} {:>9} {:>9} {:>9} {:>9}",
-        "benchmark", "org-O0", "org-O2", "syn-O0", "syn-O2"
-    );
-    for (a, accs) in artifacts.iter().zip(m.per(points.len())) {
+struct Fig09;
+
+impl Measure for Fig09 {
+    fn requests(&self, artifacts: &[WorkloadArtifacts]) -> Vec<Request> {
+        // Per workload, the figure's column order.
+        let points = [
+            (OptLevel::O0, false),
+            (OptLevel::O2, false),
+            (OptLevel::O0, true),
+            (OptLevel::O2, true),
+        ];
+        x86_grid(artifacts, &points, &[Probe::Hybrid])
+    }
+
+    fn render(&self, artifacts: &[WorkloadArtifacts], observations: &[Observation]) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "Figure 9 — hybrid branch predictor accuracy");
         let _ = writeln!(
             out,
-            "{:<24} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%",
-            a.workload.name, accs[0], accs[1], accs[2], accs[3]
+            "{:<24} {:>9} {:>9} {:>9} {:>9}",
+            "benchmark", "org-O0", "org-O2", "syn-O0", "syn-O2"
         );
+        for (a, row) in artifacts.iter().zip(observations.chunks_exact(4)) {
+            let acc = |i: usize| row[i].branches().accuracy() * 100.0;
+            let _ = writeln!(
+                out,
+                "{:<24} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%",
+                a.workload.name,
+                acc(0),
+                acc(1),
+                acc(2),
+                acc(3)
+            );
+        }
+        out
     }
-    out
 }
 
 /// Figure 10: CPI on a 2-wide out-of-order processor with 8/16/32 KB data
 /// caches, original versus synthetic.
-pub fn fig10(artifacts: &[WorkloadArtifacts]) -> String {
-    let configs = [8, 16, 32].map(PipelineConfig::ptlsim_2wide);
-    // Axes: workload × variant; one batched execution times all three
-    // cache sizes.
-    let m = Experiment::over(cross(&refs(artifacts), &[false, true])).measure(|(a, synthetic)| {
-        let art = a.compiled(
-            &CompileOptions::new(OptLevel::O0, TargetIsa::X86),
-            *synthetic,
-        );
-        simulate_image_batch(&art.image, &configs)
-            .iter()
-            .map(PipelineResult::cpi)
-            .collect::<Vec<f64>>()
-    });
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Figure 10 — CPI on a 2-wide out-of-order processor (original | synthetic)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<24} {:>6} {:>6} {:>6}  |  {:>6} {:>6} {:>6}",
-        "benchmark", "8KB", "16KB", "32KB", "8KB", "16KB", "32KB"
-    );
-    for (a, pair) in artifacts.iter().zip(m.per(2)) {
-        let (org, syn) = (&pair[0], &pair[1]);
+struct Fig10;
+
+impl Measure for Fig10 {
+    fn requests(&self, artifacts: &[WorkloadArtifacts]) -> Vec<Request> {
+        let lanes = [8, 16, 32].map(|kb| Probe::Lane(PipelineConfig::ptlsim_2wide(kb)));
+        x86_grid(
+            artifacts,
+            &[(OptLevel::O0, false), (OptLevel::O0, true)],
+            &lanes,
+        )
+    }
+
+    fn render(&self, artifacts: &[WorkloadArtifacts], observations: &[Observation]) -> String {
+        let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<24} {:>6.2} {:>6.2} {:>6.2}  |  {:>6.2} {:>6.2} {:>6.2}",
-            a.workload.name, org[0], org[1], org[2], syn[0], syn[1], syn[2]
+            "Figure 10 — CPI on a 2-wide out-of-order processor (original | synthetic)"
         );
-    }
-    out
-}
-
-/// Groups the (level, machine) `cells` of one Figure 11 unit by the binary
-/// each cell runs: compiles the unit once per (level, ISA) among the cells
-/// and merges compilations that produce an identical program.  Returns each
-/// distinct binary with the indices of the cells that run it, in order of
-/// first appearance.  At `-O0`, where x86, x86-64 and IA-64 lower every
-/// kernel identically, Table III forms one group; across levels, every
-/// Figure 11 unit compiles to the same binary at `-O3` as at `-O2`.
-pub fn binary_groups(
-    cells: &[(OptLevel, &MachineConfig)],
-    compiled_for: &dyn Fn(OptLevel, MachineIsa) -> Arc<CompiledArtifact>,
-) -> Vec<(Arc<CompiledArtifact>, Vec<usize>)> {
-    let mut groups: Vec<(Arc<CompiledArtifact>, Vec<usize>)> = Vec::new();
-    let mut group_of: Vec<((OptLevel, MachineIsa), usize)> = Vec::new();
-    for (i, &(level, m)) in cells.iter().enumerate() {
-        let key = (level, m.isa);
-        let g = if let Some(&(_, g)) = group_of.iter().find(|(k, _)| *k == key) {
-            g
-        } else {
-            let art = compiled_for(level, m.isa);
-            let g = groups
-                .iter()
-                .position(|(a, _)| a.program == art.program)
-                .unwrap_or(groups.len());
-            if g == groups.len() {
-                groups.push((art, Vec::new()));
-            }
-            group_of.push((key, g));
-            g
-        };
-        groups[g].1.push(i);
-    }
-    groups
-}
-
-/// Times one compiled unit in every (level, machine) cell of `cells`,
-/// returning `time_ns` in cell order, with one functional execution per
-/// distinct binary ([`binary_groups`], [`MachineConfig::run_batch`]).  This
-/// is exact: a lane's result depends only on the image and its
-/// [`PipelineConfig`], and identical programs decode to identical images.
-/// A machine whose binary two levels share runs in one lane for both.
-pub fn machine_axis_times(
-    cells: &[(OptLevel, &MachineConfig)],
-    compiled_for: &dyn Fn(OptLevel, MachineIsa) -> Arc<CompiledArtifact>,
-) -> Vec<f64> {
-    let mut times = vec![0.0; cells.len()];
-    for (art, idxs) in binary_groups(cells, compiled_for) {
-        let group: Vec<MachineConfig> = idxs.iter().map(|&i| cells[i].1.clone()).collect();
-        for (&i, r) in idxs
-            .iter()
-            .zip(MachineConfig::run_batch(&group, &art.image))
-        {
-            times[i] = r.time_ns;
-        }
-    }
-    times
-}
-
-/// Figure 11 body over an arbitrary machine roster (the legacy five or the
-/// extended seven).
-fn fig11_over(artifacts: &[WorkloadArtifacts], machines: &[MachineConfig], title: &str) -> String {
-    // Consolidate the whole suite into a single profile and clone.
-    let merged = bsg_synth::consolidate(artifacts.iter().map(|a| a.profile.as_ref()));
-    let consolidated = ArtifactStore::global().synthesis(
-        &merged,
-        &SynthesisConfig::default(),
-        SYNTH_TARGET_INSTRUCTIONS * 2,
-    );
-    let consolidated = &consolidated;
-    let consolidated_id = SourceId::of(&consolidated.benchmark.hll);
-
-    // Axis: workload | consolidated clone — one task per unit, each timing
-    // the whole level × machine grid from one execution per distinct binary
-    // ([`machine_axis_times`]).  Every row of the rendered figure reads the
-    // same values one run per cell would produce (bit-identical lanes,
-    // proven against the scalar oracle by the batched differential suite).
-    let cells: Vec<(OptLevel, &MachineConfig)> = OptLevel::ALL
-        .iter()
-        .flat_map(|&level| machines.iter().map(move |m| (level, m)))
-        .collect();
-    let units: Vec<Option<&WorkloadArtifacts>> = artifacts
-        .iter()
-        .map(Some)
-        .chain(std::iter::once(None))
-        .collect();
-    let m = Experiment::over(units).measure(|unit| {
-        let compiled_for = |level: OptLevel, isa: MachineIsa| {
-            let options = CompileOptions::new(level, target_isa_for(isa));
-            match unit {
-                Some(a) => a.compiled(&options, false),
-                None => ArtifactStore::global().compiled_keyed(
-                    consolidated_id,
-                    &consolidated.benchmark.hll,
-                    &options,
-                ),
-            }
-        };
-        machine_axis_times(&cells, &compiled_for)
-    });
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    let _ = writeln!(
-        out,
-        "{:<20} {:<6} {:>12} {:>12}",
-        "machine", "level", "original", "synthetic"
-    );
-    let mut baseline: Option<(f64, f64)> = None;
-    for (mi, machine) in machines.iter().enumerate() {
-        for (li, level) in OptLevel::ALL.iter().enumerate() {
-            let cell = li * machines.len() + mi;
-            // Original time sums the per-workload values in submission order.
-            let org_time: f64 = m.values[..artifacts.len()].iter().map(|v| v[cell]).sum();
-            let syn_time = m.values[artifacts.len()][cell];
-            let (ob, sb) = *baseline.get_or_insert((org_time, syn_time));
+        let _ = writeln!(
+            out,
+            "{:<24} {:>6} {:>6} {:>6}  |  {:>6} {:>6} {:>6}",
+            "benchmark", "8KB", "16KB", "32KB", "8KB", "16KB", "32KB"
+        );
+        for (a, row) in artifacts.iter().zip(observations.chunks_exact(6)) {
+            let cpi = |i: usize| row[i].lane().cpi();
             let _ = writeln!(
                 out,
-                "{:<20} {:<6} {:>12.3} {:>12.3}",
-                machine.name,
-                level.to_string(),
-                org_time / ob,
-                syn_time / sb
+                "{:<24} {:>6.2} {:>6.2} {:>6.2}  |  {:>6.2} {:>6.2} {:>6.2}",
+                a.workload.name,
+                cpi(0),
+                cpi(1),
+                cpi(2),
+                cpi(3),
+                cpi(4),
+                cpi(5)
             );
         }
+        out
     }
-    out
 }
 
-/// Figure 11: normalized execution time across the five Table III machines
-/// and four optimization levels, original versus synthetic (benchmark
+/// Figure 11: normalized execution time across a machine roster and the
+/// four optimization levels, original versus synthetic (benchmark
 /// consolidation over the suite, as in the paper).
-pub fn fig11(artifacts: &[WorkloadArtifacts]) -> String {
-    fig11_over(
-        artifacts,
-        &MachineConfig::table3(),
-        "Figure 11 — normalized execution time (to Pentium 4 3GHz at -O0)",
-    )
+struct Fig11 {
+    roster: fn() -> Vec<MachineConfig>,
+    title: &'static str,
 }
 
-/// Figure 11 over the extended machine roster ([`MachineConfig::table3_extended`]):
-/// the batched path makes the two extra machines near-free — they ride the
-/// executions their binaries already pay for.
-pub fn fig11x(artifacts: &[WorkloadArtifacts]) -> String {
-    fig11_over(
-        artifacts,
-        &MachineConfig::table3_extended(),
-        "Figure 11 (extended machines) — normalized execution time (to Pentium 4 3GHz at -O0)",
-    )
+impl Measure for Fig11 {
+    fn requests(&self, artifacts: &[WorkloadArtifacts]) -> Vec<Request> {
+        // Consolidate the whole suite into a single profile and clone.
+        let merged = bsg_synth::consolidate(artifacts.iter().map(|a| a.profile.as_ref()));
+        let consolidated = ArtifactStore::global().synthesis(
+            &merged,
+            &SynthesisConfig::default(),
+            SYNTH_TARGET_INSTRUCTIONS * 2,
+        );
+        // Unit (the workloads, then the consolidated clone) × level ×
+        // machine: one timing lane per cell, on the binary its level and
+        // ISA compile to.
+        let units = (0..artifacts.len())
+            .map(Unit::Original)
+            .chain([Unit::synthesized(consolidated)]);
+        let machines = (self.roster)();
+        let mut requests = Vec::new();
+        for unit in units {
+            for level in OptLevel::ALL {
+                for m in &machines {
+                    requests.push(Request {
+                        unit: unit.clone(),
+                        options: CompileOptions::new(level, target_isa_for(m.isa)),
+                        probe: Probe::Lane(m.pipeline),
+                    });
+                }
+            }
+        }
+        requests
+    }
+
+    fn render(&self, artifacts: &[WorkloadArtifacts], observations: &[Observation]) -> String {
+        let machines = (self.roster)();
+        let cells = OptLevel::ALL.len() * machines.len();
+        let time = |unit: usize, cell: usize| {
+            let m = &machines[cell % machines.len()];
+            observations[unit * cells + cell].lane().cycles as f64 / m.freq_ghz
+        };
+        let mut out = String::new();
+        let _ = writeln!(out, "{}", self.title);
+        let _ = writeln!(
+            out,
+            "{:<20} {:<6} {:>12} {:>12}",
+            "machine", "level", "original", "synthetic"
+        );
+        let mut baseline: Option<(f64, f64)> = None;
+        for (mi, machine) in machines.iter().enumerate() {
+            for (li, level) in OptLevel::ALL.iter().enumerate() {
+                let cell = li * machines.len() + mi;
+                // Original time sums the per-workload values in suite order.
+                let org_time: f64 = (0..artifacts.len()).map(|u| time(u, cell)).sum();
+                let syn_time = time(artifacts.len(), cell);
+                let (ob, sb) = *baseline.get_or_insert((org_time, syn_time));
+                let _ = writeln!(
+                    out,
+                    "{:<20} {:<6} {:>12.3} {:>12.3}",
+                    machine.name,
+                    level.to_string(),
+                    org_time / ob,
+                    syn_time / sb
+                );
+            }
+        }
+        out
+    }
 }
+
+/// Figure 5: normalized dynamic instruction count vs optimization level.
+pub const FIG05: Section = Section::Measure(&Fig05);
+/// Figure 6 at `-O0`.
+pub const FIG06_O0: Section = Section::Measure(&Fig06(OptLevel::O0));
+/// Figure 6 at `-O2`.
+pub const FIG06_O2: Section = Section::Measure(&Fig06(OptLevel::O2));
+/// Figure 7: data-cache hit rates at `-O0`.
+pub const FIG07: Section = Section::Measure(&HitRates(OptLevel::O0));
+/// Figure 8: data-cache hit rates at `-O2`.
+pub const FIG08: Section = Section::Measure(&HitRates(OptLevel::O2));
+/// Figure 9: hybrid predictor accuracy.
+pub const FIG09: Section = Section::Measure(&Fig09);
+/// Figure 10: CPI with 8/16/32 KB data caches.
+pub const FIG10: Section = Section::Measure(&Fig10);
+/// Figure 11 over the five Table III machines.
+pub const FIG11: Section = Section::Measure(&Fig11 {
+    roster: MachineConfig::table3,
+    title: "Figure 11 — normalized execution time (to Pentium 4 3GHz at -O0)",
+});
+/// Figure 11 over the extended roster ([`MachineConfig::table3_extended`]):
+/// the two extra machines ride the executions their binaries already pay
+/// for.
+pub const FIG11X: Section = Section::Measure(&Fig11 {
+    roster: MachineConfig::table3_extended,
+    title: "Figure 11 (extended machines) — normalized execution time (to Pentium 4 3GHz at -O0)",
+});
 
 /// §V-E: Moss / JPlag similarity between each original and its clone.
 pub fn obfuscation(artifacts: &[WorkloadArtifacts]) -> String {
@@ -1197,12 +1190,12 @@ mod tests {
     }
 
     #[test]
-    fn compile_pair_is_served_from_the_store() {
+    fn compiled_variants_are_served_from_the_store() {
         let w = suite(InputSize::Small).remove(3); // crc32/small
         let art = WorkloadArtifacts::prepare(w, 20_000);
         let options = CompileOptions::new(OptLevel::O1, TargetIsa::X86);
-        let (o1, s1) = art.compile_pair(&options);
-        let (o2, s2) = art.compile_pair(&options);
+        let (o1, s1) = (art.compiled(&options, false), art.compiled(&options, true));
+        let (o2, s2) = (art.compiled(&options, false), art.compiled(&options, true));
         assert!(Arc::ptr_eq(&o1, &o2), "original artifact is shared");
         assert!(Arc::ptr_eq(&s1, &s2), "synthetic artifact is shared");
     }

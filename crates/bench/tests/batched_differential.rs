@@ -10,9 +10,9 @@
 //! shared L1/L2 state and the in-order model).  On top of raw lane parity,
 //! Figure 11 text is byte-identical at any worker count, and the static
 //! verifier is observer-agnostic — running an image under the batched model
-//! changes nothing the reference/replay passes look at.  Figure 11's
-//! (level, machine) grid, which shares one execution among every cell
-//! running the same binary, equals one run per cell on that cell's own
+//! changes nothing the reference/replay passes look at.  The report-wide
+//! measurement plan, which shares one execution among every request on the
+//! same binary, equals one solo run per request on that request's own
 //! binary.
 //!
 //! Tier-1 covers the small-input half of the registry (18 workloads); the
@@ -20,14 +20,17 @@
 //! inputs for the full 36-workload registry.
 
 use bsg_bench::{
-    binary_groups, fig11, machine_axis_times, target_isa_for, WorkloadArtifacts,
+    observe, target_isa_for, Observation, Probe, Request, Unit, WorkloadArtifacts, FIG11, SWEEP_KB,
     SYNTH_TARGET_INSTRUCTIONS,
 };
-use bsg_compiler::{CompileOptions, OptLevel};
-use bsg_runtime::{with_workers, ArtifactStore, CompiledArtifact, SourceId};
+use bsg_compiler::{CompileOptions, OptLevel, TargetIsa};
+use bsg_profile::MixObserver;
+use bsg_runtime::{with_workers, ArtifactStore, CompiledArtifact, Runtime};
 use bsg_synth::SynthesisConfig;
 use bsg_uarch::batch::simulate_image_batch;
-use bsg_uarch::exec::{execute_image, ExecConfig};
+use bsg_uarch::branch::{Hybrid, PredictorObserver};
+use bsg_uarch::cache::{CacheConfig, CacheObserver};
+use bsg_uarch::exec::{execute_image, ExecConfig, NullObserver};
 use bsg_uarch::image::ExecImage;
 use bsg_uarch::machine::{MachineConfig, MachineIsa};
 use bsg_uarch::pipeline::{simulate_image, PipelineConfig, PipelineResult, PipelineSim};
@@ -135,10 +138,10 @@ fn batched_fig11_text_is_deterministic_across_worker_counts() {
         .filter(|w| picks.contains(&w.name.as_str()))
         .map(|w| WorkloadArtifacts::prepare(w, 20_000))
         .collect();
-    let reference = with_workers(1, || fig11(&artifacts));
+    let reference = with_workers(1, || FIG11.render(&artifacts));
     assert!(reference.contains("Itanium 2"), "figure covers the roster");
     for workers in [2usize, 8] {
-        let text = with_workers(workers, || fig11(&artifacts));
+        let text = with_workers(workers, || FIG11.render(&artifacts));
         assert_eq!(
             text, reference,
             "batched fig11 diverges at {workers} workers"
@@ -146,15 +149,44 @@ fn batched_fig11_text_is_deterministic_across_worker_counts() {
     }
 }
 
-/// The grouped (level, machine) grid equals one [`MachineConfig::run_image`]
-/// per cell on that cell's own binary, bit for bit, for every small-suite
-/// kernel and the consolidated clone over the extended roster; the grouping
-/// is maximal (one group per distinct program among the unit's (level, ISA)
-/// compilations); and Table III at `-O0` runs a single binary for every
-/// unit.
+/// The solo reference for one request: `probe` alone on `image`, through
+/// the probe's own observer (a one-config batch for a lane).
+fn solo(image: &ExecImage, probe: Probe) -> Observation {
+    let run = ExecConfig::default();
+    match probe {
+        Probe::Count => {
+            Observation::Count(execute_image(image, &mut NullObserver, &run).dynamic_instructions)
+        }
+        Probe::Mix => {
+            let mut obs = MixObserver::default();
+            execute_image(image, &mut obs, &run);
+            Observation::Mix(obs.mix())
+        }
+        Probe::Caches => {
+            let mut obs = CacheObserver::new(SWEEP_KB.map(CacheConfig::kb));
+            execute_image(image, &mut obs, &run);
+            Observation::Caches(obs.sweep.results().into_iter().map(|(_, s)| s).collect())
+        }
+        Probe::Hybrid => {
+            let mut obs = PredictorObserver::new(Hybrid::default_config());
+            execute_image(image, &mut obs, &run);
+            Observation::Hybrid(obs.stats)
+        }
+        Probe::Lane(config) => Observation::Lane(simulate_image_batch(image, &[config])[0]),
+    }
+}
+
+/// The report-wide plan ([`observe`]) hands every request exactly what a
+/// solo run of its one probe on its own binary produces, and runs one
+/// execution per distinct compiled program.  The requests cover every
+/// small-suite kernel (all 36 under `BSG_LARGE_TESTS=1`), its clone and the
+/// consolidated clone: count, mix, cache sweep and predictor at every level
+/// on x86, Figure 10's lanes at `-O0`, and every extended-roster machine at
+/// every level on its own ISA (where `-O0` is one binary across ISAs and
+/// `-O3` shares `-O2`'s, and the predictor is read from the lanes' batch).
 #[test]
-fn grouped_machine_axis_equals_one_run_per_machine() {
-    let artifacts: Vec<WorkloadArtifacts> = suite(InputSize::Small)
+fn the_plan_equals_a_solo_run_per_request_with_one_execution_per_program() {
+    let artifacts: Vec<WorkloadArtifacts> = registry_workloads()
         .into_iter()
         .map(|w| WorkloadArtifacts::prepare(w, SYNTH_TARGET_INSTRUCTIONS))
         .collect();
@@ -164,56 +196,91 @@ fn grouped_machine_axis_equals_one_run_per_machine() {
         &SynthesisConfig::default(),
         SYNTH_TARGET_INSTRUCTIONS * 2,
     );
-    let consolidated_id = SourceId::of(&consolidated.benchmark.hll);
-    let table3 = MachineConfig::table3();
-    let extended = MachineConfig::table3_extended();
-    let cells: Vec<(OptLevel, &MachineConfig)> = OptLevel::ALL
-        .iter()
-        .flat_map(|&level| extended.iter().map(move |m| (level, m)))
+    let units: Vec<Unit> = (0..artifacts.len())
+        .flat_map(|i| [Unit::Original(i), Unit::Synthetic(i)])
+        .chain([Unit::synthesized(consolidated)])
         .collect();
-    let table3_o0: Vec<(OptLevel, &MachineConfig)> =
-        table3.iter().map(|m| (OptLevel::O0, m)).collect();
-    let units = artifacts.iter().map(Some).chain(std::iter::once(None));
-    for unit in units {
-        let name = unit.map_or("consolidated clone", |a| a.workload.name.as_str());
-        let compiled_for = |level: OptLevel, isa: MachineIsa| -> Arc<CompiledArtifact> {
-            let options = CompileOptions::new(level, target_isa_for(isa));
-            match unit {
-                Some(a) => a.compiled(&options, false),
-                None => ArtifactStore::global().compiled_keyed(
-                    consolidated_id,
-                    &consolidated.benchmark.hll,
-                    &options,
-                ),
+    let roster = MachineConfig::table3_extended();
+    let mut requests = Vec::new();
+    for unit in &units {
+        for level in OptLevel::ALL {
+            let x86 = CompileOptions::new(level, TargetIsa::X86);
+            for probe in [Probe::Count, Probe::Mix, Probe::Caches, Probe::Hybrid] {
+                requests.push(Request {
+                    unit: unit.clone(),
+                    options: x86,
+                    probe,
+                });
             }
+            if level == OptLevel::O0 {
+                for kb in [8, 16, 32] {
+                    requests.push(Request {
+                        unit: unit.clone(),
+                        options: x86,
+                        probe: Probe::Lane(PipelineConfig::ptlsim_2wide(kb)),
+                    });
+                }
+            }
+            if !matches!(unit, Unit::Synthetic(_)) {
+                for m in &roster {
+                    requests.push(Request {
+                        unit: unit.clone(),
+                        options: CompileOptions::new(level, target_isa_for(m.isa)),
+                        probe: Probe::Lane(m.pipeline),
+                    });
+                }
+            }
+        }
+    }
+    let binary = |r: &Request| -> Arc<CompiledArtifact> {
+        match &r.unit {
+            Unit::Original(i) => artifacts[*i].compiled(&r.options, false),
+            Unit::Synthetic(i) => artifacts[*i].compiled(&r.options, true),
+            Unit::Synthesized(id, s) => {
+                ArtifactStore::global().compiled_keyed(*id, &s.benchmark.hll, &r.options)
+            }
+        }
+    };
+
+    let observed = observe(&artifacts, &requests);
+    let want = Runtime::current().map(requests.iter().collect(), |r| {
+        solo(&binary(r).image, r.probe)
+    });
+    assert_eq!(observed.observations.len(), requests.len());
+    for ((r, got), want) in requests.iter().zip(&observed.observations).zip(&want) {
+        let got = got.as_ref().expect("no request faults");
+        assert_eq!(
+            got, want,
+            "{:?} at {:?}: the plan diverges from a solo run",
+            r.probe, r.options
+        );
+    }
+    let mut distinct: Vec<Arc<CompiledArtifact>> = Vec::new();
+    for r in &requests {
+        let art = binary(r);
+        if !distinct.iter().any(|d| d.program == art.program) {
+            distinct.push(art);
+        }
+    }
+    assert_eq!(
+        observed.executions,
+        distinct.len(),
+        "one execution per distinct program"
+    );
+    for unit in &units {
+        let at_o0 = |isa: MachineIsa| {
+            binary(&Request {
+                unit: unit.clone(),
+                options: CompileOptions::new(OptLevel::O0, target_isa_for(isa)),
+                probe: Probe::Count,
+            })
         };
-        let grouped = machine_axis_times(&cells, &compiled_for);
-        assert_eq!(grouped.len(), cells.len());
-        for (&(level, m), t) in cells.iter().zip(&grouped) {
-            let alone = m.run_image(&compiled_for(level, m.isa).image).time_ns;
-            assert_eq!(
-                t.to_bits(),
-                alone.to_bits(),
-                "{name} {level} on {}: grouped {t} vs alone {alone}",
-                m.name
+        let x86 = at_o0(MachineIsa::X86);
+        for isa in [MachineIsa::X86_64, MachineIsa::Ia64] {
+            assert!(
+                at_o0(isa).program == x86.program,
+                "-O0 lowers identically on {isa:?}, so Table III shares one binary"
             );
         }
-        let mut distinct: Vec<Arc<CompiledArtifact>> = Vec::new();
-        for &(level, m) in &cells {
-            let art = compiled_for(level, m.isa);
-            if !distinct.iter().any(|d| d.program == art.program) {
-                distinct.push(art);
-            }
-        }
-        assert_eq!(
-            binary_groups(&cells, &compiled_for).len(),
-            distinct.len(),
-            "{name}: one group per distinct binary"
-        );
-        assert_eq!(
-            binary_groups(&table3_o0, &compiled_for).len(),
-            1,
-            "{name}: Table III at -O0 runs one binary"
-        );
     }
 }

@@ -17,11 +17,14 @@
 //! runs everywhere.
 
 use bsg_bench::{
-    fig05, fig06, fig09, fig10, prepare_suite, Experiment, WorkloadArtifacts, ALL_EXPERIMENTS,
+    prepare_suite, render_report, render_sections, Experiment, Measure, Observation, Probe,
+    Request, Section, Unit, WorkloadArtifacts, ALL_EXPERIMENTS, FIG05, FIG06_O0, FIG09, FIG10,
     SYNTH_TARGET_INSTRUCTIONS,
 };
 use bsg_compiler::{compile, CompileOptions, OptLevel, TargetIsa};
 use bsg_runtime::{with_workers, ArtifactStore, BsgError, Runtime};
+use bsg_uarch::cache::CacheConfig;
+use bsg_uarch::pipeline::PipelineConfig;
 use bsg_workloads::{suite, InputSize, WorkloadRegistry};
 
 /// A small but non-trivial artifact set: three workloads with distinct cost
@@ -35,14 +38,13 @@ fn small_artifact_set() -> Vec<WorkloadArtifacts> {
         .collect()
 }
 
-/// Renders the figure subset captured in `tests/golden/figures_subset.txt`.
+/// Renders the figure subset captured in `tests/golden/figures_subset.txt`,
+/// its four sections sharing one measurement plan.
 fn render_subset(artifacts: &[WorkloadArtifacts]) -> String {
-    let mut text = String::new();
-    text.push_str(&fig05(artifacts));
-    text.push_str(&fig06(artifacts, OptLevel::O0));
-    text.push_str(&fig09(artifacts));
-    text.push_str(&fig10(artifacts));
-    text
+    render_sections(&[FIG05, FIG06_O0, FIG09, FIG10], artifacts)
+        .into_iter()
+        .map(|text| text.expect("subset sections render"))
+        .collect()
 }
 
 #[test]
@@ -159,8 +161,9 @@ fn figure_text_is_bit_identical_at_1_2_and_8_workers_and_matches_the_golden() {
 }
 
 /// Tier-2 (`BSG_LARGE_TESTS=1`): the complete `all_experiments` report over
-/// the paper's 13 legacy kernels, at 1, 2 and 8 workers, against the stdout
-/// of the pre-refactor binary.
+/// the paper's 13 legacy kernels, rendered through the report-wide
+/// measurement plan ([`render_report`]) at 1, 2 and 8 workers, against the
+/// stdout of the pre-refactor binary.
 #[test]
 fn legacy13_all_experiments_report_matches_the_pre_refactor_golden() {
     if std::env::var("BSG_LARGE_TESTS").map(|v| v == "1") != Ok(true) {
@@ -174,12 +177,9 @@ fn legacy13_all_experiments_report_matches_the_pre_refactor_golden() {
             .into_iter()
             .map(|w| WorkloadArtifacts::prepare(w, SYNTH_TARGET_INSTRUCTIONS))
             .collect();
-        let mut out = String::new();
-        for section in ALL_EXPERIMENTS {
-            out.push_str(&section.render(&artifacts));
-            out.push('\n');
-        }
-        out
+        let (report, faults) = render_report(&artifacts);
+        assert_eq!(faults, Vec::new(), "the legacy-13 report renders cleanly");
+        report
     };
     for workers in [1usize, 2, 8] {
         let text = with_workers(workers, render);
@@ -251,6 +251,101 @@ fn a_mid_sweep_panic_leaves_every_other_figure_result_byte_identical() {
                     want,
                     "{} diverged from the clean run at {workers} workers",
                     a.workload.name
+                );
+            }
+        }
+    }
+}
+
+/// A test section that plans one timing lane with a degenerate L1 on
+/// crc32's `-O0` x86 binary: the shared execution of that binary panics
+/// while building its lanes.
+struct PoisonLane;
+
+impl Measure for PoisonLane {
+    fn requests(&self, artifacts: &[WorkloadArtifacts]) -> Vec<Request> {
+        let crc32 = artifacts
+            .iter()
+            .position(|a| a.workload.name == "crc32/small");
+        let degenerate = CacheConfig {
+            size_bytes: 0,
+            ..CacheConfig::kb(8)
+        };
+        vec![Request {
+            unit: Unit::Original(crc32.expect("crc32 is prepared")),
+            options: CompileOptions::new(OptLevel::O0, TargetIsa::X86),
+            probe: Probe::Lane(PipelineConfig {
+                l1: degenerate,
+                ..PipelineConfig::ptlsim_2wide(8)
+            }),
+        }]
+    }
+
+    fn render(&self, _: &[WorkloadArtifacts], _: &[Observation]) -> String {
+        String::new()
+    }
+}
+
+/// A test section whose planning panics.
+struct PoisonPlan;
+
+impl Measure for PoisonPlan {
+    fn requests(&self, _: &[WorkloadArtifacts]) -> Vec<Request> {
+        panic!("chaos: injected planning panic")
+    }
+
+    fn render(&self, _: &[WorkloadArtifacts], _: &[Observation]) -> String {
+        String::new()
+    }
+}
+
+/// Asserts `text` is a caught panic whose message contains `needle`.
+fn assert_panicked(text: &Result<String, BsgError>, needle: &str) {
+    match text {
+        Err(BsgError::TaskPanic { message }) => assert!(message.contains(needle), "{message}"),
+        other => panic!("expected a caught panic ({needle}), got {other:?}"),
+    }
+}
+
+#[test]
+fn a_panicking_execution_or_plan_fails_only_the_sections_that_read_it() {
+    // The report's sections plus two poisoned ones: a panic in crc32's
+    // shared `-O0` x86 execution must fail exactly the sections that read
+    // that binary, a panic in planning exactly its own section, and every
+    // other section must render byte-for-byte what a clean run renders.
+    let artifacts = small_artifact_set();
+    let clean: Vec<String> = with_workers(1, || render_sections(ALL_EXPERIMENTS, &artifacts))
+        .into_iter()
+        .map(|text| text.expect("clean sections render"))
+        .collect();
+    let (report, faults) = with_workers(1, || render_report(&artifacts));
+    assert_eq!(faults, Vec::new());
+    assert_eq!(
+        report,
+        clean.iter().map(|t| format!("{t}\n")).collect::<String>()
+    );
+    // fig05, fig06 at -O0, fig07, fig09, fig10 and fig11, by their index in
+    // ALL_EXPERIMENTS.
+    let readers_of_crc32_o0 = [4, 5, 7, 9, 10, 11];
+    let sections: Vec<Section> = ALL_EXPERIMENTS
+        .iter()
+        .copied()
+        .chain([Section::Measure(&PoisonLane), Section::Measure(&PoisonPlan)])
+        .collect();
+    for workers in [1usize, 2, 8] {
+        let got = with_workers(workers, || render_sections(&sections, &artifacts));
+        assert_eq!(got.len(), sections.len());
+        let (report, poisoned) = got.split_at(ALL_EXPERIMENTS.len());
+        assert_panicked(&poisoned[0], "cache smaller than one way");
+        assert_panicked(&poisoned[1], "injected planning panic");
+        for (i, (text, want)) in report.iter().zip(&clean).enumerate() {
+            if readers_of_crc32_o0.contains(&i) {
+                assert_panicked(text, "cache smaller than one way");
+            } else {
+                assert_eq!(
+                    text.as_ref().ok(),
+                    Some(want),
+                    "section {i} diverged from the clean run at {workers} workers"
                 );
             }
         }
