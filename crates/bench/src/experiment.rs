@@ -2,95 +2,22 @@
 //!
 //! The paper's evaluation is one grid — workloads × optimization levels ×
 //! original/synthetic × machines × cache sizes, measured and rendered per
-//! figure — but the harness used to restate that grid in every figure
-//! function: each built its own unit vector, called the scheduler itself,
-//! and re-derived result ordering.  This module factors the shared shape
-//! out once:
+//! figure.  This module holds its shared shape:
 //!
-//! * [`Experiment`] holds the unit grid; [`Experiment::measure`] fans the
-//!   units out on the process-wide work-stealing [`Runtime`] (honoring
-//!   [`bsg_runtime::with_workers`] overrides) and returns a [`Measured`]
-//!   whose values are in **submission order** — figure text derived from it
-//!   is byte-identical at any worker count.
 //! * [`Section`] + the [`crate::FIGURES`] table turn every table and figure
 //!   into a name lookup: which sections to render, over which input sizes —
 //!   a data change, not a code change, when a figure is added.
 //! * A measuring section ([`Measure`]) is a list of requests plus a render
 //!   over their observations; [`render_sections`] serves the requests of
 //!   every section it renders from one plan ([`mod@crate::observe`]), so a
-//!   binary that several figures read runs once.
+//!   binary that several figures read runs once.  Results are in
+//!   submission order, so figure text is byte-identical at any worker
+//!   count.
 
 use crate::observe::{observe, Observation, Request};
 use crate::WorkloadArtifacts;
 use bsg_runtime::{panic_message, BsgError, BsgResult, Runtime};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Borrows a slice element-wise (`&[T]` → `Vec<&T>`), so a sweep over
-/// items does not clone them.
-pub fn refs<T>(items: &[T]) -> Vec<&T> {
-    items.iter().collect()
-}
-
-/// A declarative experiment: a grid of independent measurement units.
-pub struct Experiment<U: Send> {
-    units: Vec<U>,
-}
-
-impl<U: Send> Experiment<U> {
-    /// An experiment over an explicit unit grid.
-    pub fn over(units: Vec<U>) -> Self {
-        Experiment { units }
-    }
-
-    /// Measures every unit on the work-stealing scheduler, one task per
-    /// unit, returning the values in submission order.
-    pub fn measure<M, F>(self, measure: F) -> Measured<U, M>
-    where
-        M: Send,
-        F: Fn(&U) -> M + Sync,
-    {
-        let values = Runtime::current().map(self.units, |u| {
-            let v = measure(&u);
-            (u, v)
-        });
-        let (units, values) = values.into_iter().unzip();
-        Measured { units, values }
-    }
-
-    /// [`measure`](Experiment::measure) with per-unit fault isolation: a
-    /// unit whose measurement panics (or overruns a scheduler deadline)
-    /// contributes `Err` in its own slot, and every other unit's value is
-    /// exactly what the clean run would produce — the chaos suite pins that
-    /// byte-for-byte.
-    pub fn try_measure<M, F>(self, measure: F) -> Measured<U, BsgResult<M>>
-    where
-        U: Sync,
-        M: Send,
-        F: Fn(&U) -> M + Sync,
-    {
-        let units = self.units;
-        let measure = &measure;
-        let values = Runtime::current()
-            .try_run(units.iter().map(|u| move || measure(u)).collect::<Vec<_>>());
-        Measured { units, values }
-    }
-}
-
-/// The outcome of an [`Experiment`]: units and their measured values, index-
-/// aligned in submission order.
-pub struct Measured<U, M> {
-    /// The measured units, in the order they were submitted.
-    pub units: Vec<U>,
-    /// One value per unit, same order.
-    pub values: Vec<M>,
-}
-
-impl<U, M> Measured<U, M> {
-    /// `(unit, value)` rows in submission order.
-    pub fn rows(&self) -> impl Iterator<Item = (&U, &M)> {
-        self.units.iter().zip(self.values.iter())
-    }
-}
 
 /// A section that measures through the report-wide plan
 /// ([`mod@crate::observe`]): it lists the requests it reads, and renders from
@@ -119,18 +46,8 @@ pub enum Section {
 
 impl Section {
     /// Renders the section alone (`artifacts` is ignored by standalone
-    /// sections): a report of one section.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the section's fault if it fails.
-    pub fn render(&self, artifacts: &[WorkloadArtifacts]) -> String {
-        self.try_render(artifacts).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`render`](Section::render) behind a panic boundary: a section that
-    /// fails becomes an `Err` instead of tearing down the whole report, so
-    /// `all_experiments` can keep printing the sections after it.
+    /// sections), a report of one section, behind a panic boundary: a
+    /// section that fails becomes an `Err`.
     pub fn try_render(&self, artifacts: &[WorkloadArtifacts]) -> BsgResult<String> {
         let mut texts = render_sections(std::slice::from_ref(self), artifacts);
         texts.pop().expect("one result per section")
@@ -193,24 +110,4 @@ fn isolate<R>(f: impl FnOnce() -> R) -> BsgResult<R> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| BsgError::TaskPanic {
         message: panic_message(payload.as_ref()),
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn refs_borrows() {
-        let items = vec![String::from("a"), String::from("b")];
-        let borrowed = refs(&items);
-        assert_eq!(borrowed, vec![&items[0], &items[1]]);
-    }
-
-    #[test]
-    fn measure_preserves_submission_order_and_pairs_units() {
-        let m = Experiment::over((0u64..97).collect()).measure(|u| u * 3);
-        assert_eq!(m.units, (0u64..97).collect::<Vec<_>>());
-        assert_eq!(m.values, (0u64..97).map(|u| u * 3).collect::<Vec<_>>());
-        assert_eq!(m.rows().count(), 97);
-    }
 }

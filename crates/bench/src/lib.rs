@@ -17,9 +17,9 @@
 //! * the [`bsg_workloads::WorkloadRegistry`] supplies the suite (the
 //!   paper's 13 MiBench kernels plus the SPEC-like extensions), built once
 //!   per process and iterated in a stable order;
-//! * the [`experiment`] module fans independent units out on the scheduler
-//!   ([`Experiment::measure`]) with deterministic, submission-ordered
-//!   results, and renders [`Section`]s;
+//! * the [`experiment`] module declares the [`Section`]s and renders them
+//!   on the scheduler ([`render_sections`]) with deterministic,
+//!   submission-ordered results, each behind its own panic boundary;
 //! * the measurement plan ([`mod@observe`]) serves the measuring sections
 //!   (Figures 5–11): each lists its requests — (unit, compile options,
 //!   probe) — and renders from their observations, and the plan runs one
@@ -41,7 +41,7 @@ pub mod observe;
 
 /// The suite types this crate's public API takes and returns.
 pub use bsg_workloads::{suite, InputSize, Workload};
-pub use experiment::{refs, render_sections, Experiment, Measure, Measured, Section};
+pub use experiment::{render_sections, Measure, Section};
 pub use observe::{observe, Observation, Observed, Probe, Request, Unit, SWEEP_KB};
 
 use bsg_compiler::{CompileOptions, OptLevel, TargetIsa};
@@ -81,23 +81,10 @@ pub struct WorkloadArtifacts {
 
 impl WorkloadArtifacts {
     /// Profiles `workload` and synthesizes its clone, through the artifact
-    /// store (both steps are memoized in memory and on disk: repeated
-    /// `prepare` calls for the same workload and target share one build,
-    /// even across processes).
-    ///
-    /// # Panics
-    ///
-    /// Panics when either build fails; sweeps that must survive a faulting
-    /// workload use [`WorkloadArtifacts::try_prepare`] under the scheduler's
-    /// panic isolation instead.
-    pub fn prepare(workload: Workload, target_instructions: u64) -> Self {
-        let name = workload.name.clone();
-        Self::try_prepare(workload, target_instructions)
-            .unwrap_or_else(|e| panic!("preparing workload {name}: {e}"))
-    }
-
-    /// Fault-isolating [`prepare`](Self::prepare): profiling or synthesis
-    /// failures come back as structured errors instead of aborting.
+    /// store (both steps are memoized in memory and on disk: repeated calls
+    /// for the same workload and target share one build, even across
+    /// processes).  Profiling or synthesis failures come back as structured
+    /// errors instead of aborting.
     ///
     /// This is also the chaos hook: when the `BSG_FAULT` plan names this
     /// workload (`task-panic=NAME`), the preparation panics here — under
@@ -153,23 +140,11 @@ impl WorkloadArtifacts {
 }
 
 /// Prepares artifacts for the whole suite at one input size, one workload
-/// per scheduler task (profiling and synthesis are independent per workload).
-///
-/// # Panics
-///
-/// Panics if any workload fails to prepare (after the whole batch drains);
-/// report binaries that must survive a faulting workload use
-/// [`try_prepare_suite`].
-pub fn prepare_suite(input: InputSize, target_instructions: u64) -> Vec<WorkloadArtifacts> {
-    Experiment::over(suite(input))
-        .measure(|w| WorkloadArtifacts::prepare(w.clone(), target_instructions))
-        .values
-}
-
-/// Fault-isolating [`prepare_suite`]: each workload's outcome lands in its
-/// own slot as `(name, result)`, in suite order.  One panicking or failing
-/// preparation costs exactly its own slot — the scheduler catches the fault
-/// and every other workload's artifacts are identical to a clean run's.
+/// per scheduler task (profiling and synthesis are independent per
+/// workload).  Each workload's outcome lands in its own slot as `(name,
+/// result)`, in suite order.  One panicking or failing preparation costs
+/// exactly its own slot — the scheduler catches the fault and every other
+/// workload's artifacts are identical to a clean run's.
 pub fn try_prepare_suite(
     input: InputSize,
     target_instructions: u64,
@@ -187,10 +162,11 @@ pub fn try_prepare_suite(
         .collect()
 }
 
-/// One isolated fault from [`try_render_report`]: either a workload whose
-/// preparation failed (its rows are omitted) or a section whose renderer
-/// failed (the section is skipped).  `Display` matches the stderr lines the
-/// `all_experiments` binary has always printed, so CI greps keep working.
+/// One isolated fault from [`try_render_report`] or [`render_figure`]:
+/// either a workload whose preparation failed (its rows are omitted) or a
+/// section whose renderer failed (the section is skipped).  `Display`
+/// matches the stderr lines the `all_experiments` binary has always
+/// printed, so CI greps keep working.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReportFault {
     /// A workload's preparation panicked or failed.
@@ -208,13 +184,6 @@ pub enum ReportFault {
 }
 
 impl ReportFault {
-    /// The underlying error, whichever stage it came from.
-    pub fn error(&self) -> &bsg_runtime::BsgError {
-        match self {
-            ReportFault::Prepare { error, .. } | ReportFault::Section { error } => error,
-        }
-    }
-
     /// Consumes the fault into its error (e.g. for a server error reply).
     pub fn into_error(self) -> bsg_runtime::BsgError {
         match self {
@@ -245,14 +214,7 @@ impl std::fmt::Display for ReportFault {
 /// binary's stdout, which is the server-mode correctness contract — plus
 /// every isolated fault, in occurrence order.
 pub fn try_render_report() -> (String, Vec<ReportFault>) {
-    let mut faults = Vec::new();
-    let mut artifacts = Vec::new();
-    for (name, result) in try_prepare_suite(InputSize::Small, SYNTH_TARGET_INSTRUCTIONS) {
-        match result {
-            Ok(a) => artifacts.push(a),
-            Err(error) => faults.push(ReportFault::Prepare { name, error }),
-        }
-    }
+    let (artifacts, mut faults) = prepare_inputs(&[InputSize::Small]);
     let (report, section_faults) = render_report(&artifacts);
     faults.extend(section_faults);
     (report, faults)
@@ -263,18 +225,41 @@ pub fn try_render_report() -> (String, Vec<ReportFault>) {
 /// line; a failed section is skipped and reported as
 /// [`ReportFault::Section`].
 pub fn render_report(artifacts: &[WorkloadArtifacts]) -> (String, Vec<ReportFault>) {
-    let mut report = String::new();
+    let (texts, faults) = render_isolated(ALL_EXPERIMENTS, artifacts);
+    (texts.into_iter().map(|text| text + "\n").collect(), faults)
+}
+
+/// Prepares the suites at `inputs`, concatenated in order: the prepared
+/// artifacts, plus a [`ReportFault::Prepare`] for each workload that failed.
+fn prepare_inputs(inputs: &[InputSize]) -> (Vec<WorkloadArtifacts>, Vec<ReportFault>) {
+    let mut artifacts = Vec::new();
     let mut faults = Vec::new();
-    for text in render_sections(ALL_EXPERIMENTS, artifacts) {
-        match text {
-            Ok(text) => {
-                report.push_str(&text);
-                report.push('\n');
+    for &input in inputs {
+        for (name, result) in try_prepare_suite(input, SYNTH_TARGET_INSTRUCTIONS) {
+            match result {
+                Ok(a) => artifacts.push(a),
+                Err(error) => faults.push(ReportFault::Prepare { name, error }),
             }
+        }
+    }
+    (artifacts, faults)
+}
+
+/// [`render_sections`] split into the texts of the sections that rendered
+/// and a [`ReportFault::Section`] for each one that failed.
+fn render_isolated(
+    sections: &[Section],
+    artifacts: &[WorkloadArtifacts],
+) -> (Vec<String>, Vec<ReportFault>) {
+    let mut texts = Vec::new();
+    let mut faults = Vec::new();
+    for text in render_sections(sections, artifacts) {
+        match text {
+            Ok(text) => texts.push(text),
             Err(error) => faults.push(ReportFault::Section { error }),
         }
     }
-    (report, faults)
+    (texts, faults)
 }
 
 /// Maps a machine's ISA to the compiler's target ISA.
@@ -411,22 +396,14 @@ pub fn figure_spec(name: &str) -> Option<&'static FigureSpec> {
 
 /// Renders a registered figure: prepares the suites its spec names and
 /// joins its sections with a blank line.  This is what `bsg-figure <name>`
-/// prints.
-///
-/// # Panics
-///
-/// Panics when `name` is not in [`FIGURES`].
-pub fn render_figure(name: &str) -> String {
-    let spec = figure_spec(name).unwrap_or_else(|| panic!("unknown figure {name}"));
-    let mut artifacts = Vec::new();
-    for input in spec.inputs {
-        artifacts.extend(prepare_suite(*input, SYNTH_TARGET_INSTRUCTIONS));
-    }
-    render_sections(spec.sections, &artifacts)
-        .into_iter()
-        .map(|text| text.unwrap_or_else(|e| panic!("{e}")))
-        .collect::<Vec<_>>()
-        .join("\n")
+/// prints.  Faults are isolated as in [`try_render_report`]: a workload
+/// that fails to prepare loses its rows, a failed section is skipped, and
+/// every fault is returned in occurrence order.
+pub fn render_figure(spec: &FigureSpec) -> (String, Vec<ReportFault>) {
+    let (artifacts, mut faults) = prepare_inputs(spec.inputs);
+    let (texts, section_faults) = render_isolated(spec.sections, &artifacts);
+    faults.extend(section_faults);
+    (texts.join("\n"), faults)
 }
 
 // ---------------------------------------------------------------------------
@@ -436,7 +413,17 @@ pub fn render_figure(name: &str) -> String {
 /// Table I: miss-rate classes, their strides, and the miss rate each stride
 /// actually produces on the profiling cache when regenerated.
 pub fn table1() -> String {
-    let measured = Experiment::over(bsg_synth::table1()).measure(|row| {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Table I — memory access strides per miss-rate class (32-byte line)"
+    );
+    let _ = writeln!(
+        out,
+        "{:<6} {:<18} {:<14} {:<16}",
+        "class", "miss-rate range", "stride (bytes)", "measured miss"
+    );
+    for row in bsg_synth::table1() {
         // Measure: stream through memory with this stride and run the 8 KB
         // profiling cache over the addresses.
         let mut cache = bsg_uarch::cache::Cache::new(CacheConfig::kb(8));
@@ -449,19 +436,7 @@ pub fn table1() -> String {
             }
             addr = (addr + row.stride_bytes) % (1 << 20);
         }
-        misses as f64 / accesses as f64
-    });
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Table I — memory access strides per miss-rate class (32-byte line)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<6} {:<18} {:<14} {:<16}",
-        "class", "miss-rate range", "stride (bytes)", "measured miss"
-    );
-    for (row, miss) in measured.rows() {
+        let miss = misses as f64 / accesses as f64;
         let _ = writeln!(
             out,
             "{:<6} {:>5.2}% - {:>6.2}%   {:<14} {:>6.2}%",
@@ -548,7 +523,6 @@ pub fn table3x() -> String {
 pub fn figure2_example_sfgl() -> Sfgl {
     let key = |b: u32| NodeKey { func: 0, block: b };
     let mut s = Sfgl::default();
-    let names = ["A", "B", "C", "D", "E", "F", "G", "H", "I"];
     let counts = [500u64, 420, 80, 500, 5000, 1000, 4000, 5000, 500];
     for (i, c) in counts.iter().enumerate() {
         s.nodes.insert(key(i as u32), *c);
@@ -577,7 +551,6 @@ pub fn figure2_example_sfgl() -> Sfgl {
         depth: 1,
         parent: None,
     });
-    let _ = names;
     s
 }
 
@@ -615,7 +588,8 @@ pub fn fig02() -> String {
 /// Figure 3: the fibonacci kernel and its synthetic clone, side by side.
 pub fn fig03() -> String {
     let original = fibonacci_workload(20);
-    let art = WorkloadArtifacts::prepare(original, 2_000);
+    let art = WorkloadArtifacts::try_prepare(original, 2_000)
+        .unwrap_or_else(|e| panic!("preparing workload fibonacci: {e}"));
     let original_c = ArtifactStore::global().c_text(&art.workload.program);
     let mut out = String::new();
     let _ = writeln!(out, "Figure 3(a) — original fibonacci kernel\n");
@@ -982,8 +956,7 @@ impl Measure for Fig11 {
         let machines = (self.roster)();
         let cells = OptLevel::ALL.len() * machines.len();
         let time = |unit: usize, cell: usize| {
-            let m = &machines[cell % machines.len()];
-            observations[unit * cells + cell].lane().cycles as f64 / m.freq_ghz
+            machines[cell % machines.len()].time_ns(observations[unit * cells + cell].lane())
         };
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.title);
@@ -1043,7 +1016,7 @@ pub const FIG11X: Section = Section::Measure(&Fig11 {
 
 /// §V-E: Moss / JPlag similarity between each original and its clone.
 pub fn obfuscation(artifacts: &[WorkloadArtifacts]) -> String {
-    let m = Experiment::over(refs(artifacts)).measure(|a| {
+    let reports = Runtime::current().map(artifacts.iter().collect(), |a| {
         let original_c = ArtifactStore::global().c_text(&a.workload.program);
         SimilarityReport::compare(&original_c, &a.synthesis.benchmark.c_source)
     });
@@ -1057,7 +1030,7 @@ pub fn obfuscation(artifacts: &[WorkloadArtifacts]) -> String {
         "{:<24} {:>8} {:>8} {:>8}",
         "benchmark", "moss", "jplag", "hidden?"
     );
-    for (a, report) in m.rows() {
+    for (a, report) in artifacts.iter().zip(&reports) {
         let _ = writeln!(
             out,
             "{:<24} {:>7.1}% {:>7.1}% {:>8}",
@@ -1072,12 +1045,6 @@ pub fn obfuscation(artifacts: &[WorkloadArtifacts]) -> String {
         );
     }
     out
-}
-
-/// Emits a complete HLL program's C text (helper for examples / binaries),
-/// memoized in the artifact store.
-pub fn c_source_of(program: &HllProgram) -> String {
-    ArtifactStore::global().c_text(program).as_ref().clone()
 }
 
 /// Times `body` over `passes` passes and returns the retired instruction
@@ -1183,7 +1150,7 @@ mod tests {
     #[test]
     fn end_to_end_artifacts_for_one_workload() {
         let w = suite(InputSize::Small).remove(3); // crc32/small
-        let art = WorkloadArtifacts::prepare(w, 20_000);
+        let art = WorkloadArtifacts::try_prepare(w, 20_000).expect("crc32 prepares");
         assert!(art.synthesis.instruction_reduction() > 1.0);
         let text = fig04(&[art]);
         assert!(text.contains("crc32"));
@@ -1192,7 +1159,7 @@ mod tests {
     #[test]
     fn compiled_variants_are_served_from_the_store() {
         let w = suite(InputSize::Small).remove(3); // crc32/small
-        let art = WorkloadArtifacts::prepare(w, 20_000);
+        let art = WorkloadArtifacts::try_prepare(w, 20_000).expect("crc32 prepares");
         let options = CompileOptions::new(OptLevel::O1, TargetIsa::X86);
         let (o1, s1) = (art.compiled(&options, false), art.compiled(&options, true));
         let (o2, s2) = (art.compiled(&options, false), art.compiled(&options, true));

@@ -136,12 +136,14 @@ fn batched_fig11_text_is_deterministic_across_worker_counts() {
     let artifacts: Vec<WorkloadArtifacts> = suite(InputSize::Small)
         .into_iter()
         .filter(|w| picks.contains(&w.name.as_str()))
-        .map(|w| WorkloadArtifacts::prepare(w, 20_000))
+        .map(|w| WorkloadArtifacts::try_prepare(w, 20_000).expect("workload prepares"))
         .collect();
-    let reference = with_workers(1, || FIG11.render(&artifacts));
+    let reference = with_workers(1, || FIG11.try_render(&artifacts).expect("fig11 renders"));
     assert!(reference.contains("Itanium 2"), "figure covers the roster");
     for workers in [2usize, 8] {
-        let text = with_workers(workers, || FIG11.render(&artifacts));
+        let text = with_workers(workers, || {
+            FIG11.try_render(&artifacts).expect("fig11 renders")
+        });
         assert_eq!(
             text, reference,
             "batched fig11 diverges at {workers} workers"
@@ -188,7 +190,9 @@ fn solo(image: &ExecImage, probe: Probe) -> Observation {
 fn the_plan_equals_a_solo_run_per_request_with_one_execution_per_program() {
     let artifacts: Vec<WorkloadArtifacts> = registry_workloads()
         .into_iter()
-        .map(|w| WorkloadArtifacts::prepare(w, SYNTH_TARGET_INSTRUCTIONS))
+        .map(|w| {
+            WorkloadArtifacts::try_prepare(w, SYNTH_TARGET_INSTRUCTIONS).expect("workload prepares")
+        })
         .collect();
     let merged = bsg_synth::consolidate(artifacts.iter().map(|a| a.profile.as_ref()));
     let consolidated = ArtifactStore::global().synthesis(

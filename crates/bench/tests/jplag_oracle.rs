@@ -8,7 +8,7 @@
 //! on random token streams whose small alphabets make ties and overlapping
 //! candidates common.
 
-use bsg_bench::{prepare_suite, SYNTH_TARGET_INSTRUCTIONS};
+use bsg_bench::{try_prepare_suite, SYNTH_TARGET_INSTRUCTIONS};
 use bsg_runtime::ArtifactStore;
 use bsg_similarity::{greedy_string_tiling, tokenize};
 use bsg_workloads::InputSize;
@@ -83,7 +83,10 @@ fn assert_agrees(a: &str, b: &str, min_match: usize, what: &str) {
 
 #[test]
 fn tiling_matches_the_oracle_on_every_registry_pair() {
-    let arts = prepare_suite(InputSize::Small, SYNTH_TARGET_INSTRUCTIONS);
+    let arts: Vec<_> = try_prepare_suite(InputSize::Small, SYNTH_TARGET_INSTRUCTIONS)
+        .into_iter()
+        .map(|(name, a)| a.unwrap_or_else(|e| panic!("preparing {name}: {e}")))
+        .collect();
     let originals: Vec<_> = arts
         .iter()
         .map(|a| ArtifactStore::global().c_text(&a.workload.program))

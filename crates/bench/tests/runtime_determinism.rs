@@ -17,8 +17,8 @@
 //! runs everywhere.
 
 use bsg_bench::{
-    prepare_suite, render_report, render_sections, Experiment, Measure, Observation, Probe,
-    Request, Section, Unit, WorkloadArtifacts, ALL_EXPERIMENTS, FIG05, FIG06_O0, FIG09, FIG10,
+    render_report, render_sections, try_prepare_suite, Measure, Observation, Probe, Request,
+    Section, Unit, WorkloadArtifacts, ALL_EXPERIMENTS, FIG05, FIG06_O0, FIG09, FIG10,
     SYNTH_TARGET_INSTRUCTIONS,
 };
 use bsg_compiler::{compile, CompileOptions, OptLevel, TargetIsa};
@@ -34,7 +34,7 @@ fn small_artifact_set() -> Vec<WorkloadArtifacts> {
     suite(InputSize::Small)
         .into_iter()
         .filter(|w| picks.contains(&w.name.as_str()))
-        .map(|w| WorkloadArtifacts::prepare(w, 20_000))
+        .map(|w| WorkloadArtifacts::try_prepare(w, 20_000).expect("workload prepares"))
         .collect()
 }
 
@@ -175,7 +175,10 @@ fn legacy13_all_experiments_report_matches_the_pre_refactor_golden() {
         let artifacts: Vec<WorkloadArtifacts> = WorkloadRegistry::global()
             .legacy_suite(InputSize::Small)
             .into_iter()
-            .map(|w| WorkloadArtifacts::prepare(w, SYNTH_TARGET_INSTRUCTIONS))
+            .map(|w| {
+                WorkloadArtifacts::try_prepare(w, SYNTH_TARGET_INSTRUCTIONS)
+                    .expect("workload prepares")
+            })
             .collect();
         let (report, faults) = render_report(&artifacts);
         assert_eq!(faults, Vec::new(), "the legacy-13 report renders cleanly");
@@ -192,13 +195,14 @@ fn legacy13_all_experiments_report_matches_the_pre_refactor_golden() {
 
 #[test]
 fn prepare_suite_is_deterministic_across_worker_counts() {
-    // `prepare_suite` is the heaviest sweep; its per-workload synthesis
+    // Suite preparation is the heaviest sweep; its per-workload synthesis
     // results must not depend on scheduling.
     let names_at = |workers: usize| {
         with_workers(workers, || {
-            prepare_suite(InputSize::Small, 10_000)
+            try_prepare_suite(InputSize::Small, 10_000)
                 .into_iter()
-                .map(|a| {
+                .map(|(_, a)| {
+                    let a = a.expect("every workload prepares");
                     (
                         a.workload.name,
                         a.synthesis.reduction_factor,
@@ -221,20 +225,18 @@ fn a_mid_sweep_panic_leaves_every_other_figure_result_byte_identical() {
     let artifacts = small_artifact_set();
     let victim = "bitcount/small";
     let clean: Vec<String> = with_workers(1, || {
-        Experiment::over(bsg_bench::refs(&artifacts))
-            .measure(|a| render_subset(std::slice::from_ref(*a)))
-            .values
+        Runtime::current().map(artifacts.iter().collect(), |a| {
+            render_subset(std::slice::from_ref(a))
+        })
     });
     for workers in [1usize, 2, 8] {
         let chaotic = with_workers(workers, || {
-            Experiment::over(bsg_bench::refs(&artifacts))
-                .try_measure(|a| {
-                    if a.workload.name == victim {
-                        panic!("chaos: injected mid-sweep panic");
-                    }
-                    render_subset(std::slice::from_ref(*a))
-                })
-                .values
+            Runtime::current().try_map(artifacts.iter().collect(), |a| {
+                if a.workload.name == victim {
+                    panic!("chaos: injected mid-sweep panic");
+                }
+                render_subset(std::slice::from_ref(a))
+            })
         });
         assert_eq!(chaotic.len(), clean.len());
         for ((a, got), want) in artifacts.iter().zip(&chaotic).zip(&clean) {

@@ -94,9 +94,10 @@ fn fault_probe(addr: &str, target: &str) -> Result<(), String> {
         })
         .map_err(|e| format!("healthy figure transport: {e}"))?
         .map_err(|e| format!("healthy figure request failed: {e}"))?;
-    let hermetic = bsg_bench::render_figure("fig02");
+    let spec = bsg_bench::figure_spec("fig02").expect("fig02 is registered");
+    let (hermetic, faults) = bsg_bench::render_figure(spec);
     match &before {
-        Response::Figure(text) if *text == hermetic => {}
+        Response::Figure(text) if *text == hermetic && faults.is_empty() => {}
         Response::Figure(_) => {
             return Err("healthy figure reply differs from the hermetic render".to_string())
         }

@@ -454,21 +454,21 @@ fn handle_request(request: Request) -> BsgResult<Response> {
             })
         }
         Request::Figure { name } => {
-            if name == "all_experiments" {
-                // The exact entry point the batch binary prints, so the
-                // reply is byte-identical to its stdout.  Any fault fails
-                // this request rather than shipping a partial report.
-                let (report, faults) = try_render_report();
-                match faults.into_iter().next() {
-                    Some(fault) => Err(fault.into_error()),
-                    None => Ok(Response::Figure(report)),
-                }
-            } else if figure_spec(&name).is_some() {
-                Ok(Response::Figure(render_figure(&name)))
+            // The exact entry points the batch binaries print, so the reply
+            // is byte-identical to their stdout.  Any fault fails this
+            // request rather than shipping a partial figure.
+            let (text, faults) = if name == "all_experiments" {
+                try_render_report()
+            } else if let Some(spec) = figure_spec(&name) {
+                render_figure(spec)
             } else {
-                Err(BsgError::InvalidRequest {
+                return Err(BsgError::InvalidRequest {
                     message: format!("unknown figure {name:?}"),
-                })
+                });
+            };
+            match faults.into_iter().next() {
+                Some(fault) => Err(fault.into_error()),
+                None => Ok(Response::Figure(text)),
             }
         }
         Request::Stats => Err(BsgError::InvalidRequest {

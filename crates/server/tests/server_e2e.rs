@@ -78,6 +78,9 @@ fn served_figures_are_byte_identical_to_the_batch_renderer() {
     let (handle, addr) = start_tcp();
     let mut client = Client::connect_tcp(&addr).expect("connect");
     for name in ["table1", "fig02"] {
+        let spec = bsg_bench::figure_spec(name).expect("registered figure");
+        let (local, faults) = bsg_bench::render_figure(spec);
+        assert_eq!(faults, Vec::new(), "{name} renders cleanly");
         let reply = client
             .call(&Request::Figure {
                 name: name.to_string(),
@@ -86,8 +89,7 @@ fn served_figures_are_byte_identical_to_the_batch_renderer() {
             .expect("request");
         match reply {
             Response::Figure(text) => assert_eq!(
-                text,
-                bsg_bench::render_figure(name),
+                text, local,
                 "server-rendered {name} differs from the batch render"
             ),
             other => panic!("wrong reply body: {other:?}"),

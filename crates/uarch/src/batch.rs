@@ -693,13 +693,16 @@ mod tests {
     fn run_batch_matches_the_oracle_per_machine() {
         let image = ExecImage::new(&noisy_loop(2000));
         let machines = MachineConfig::table3_extended();
-        let batched = MachineConfig::run_batch(&machines, &image);
+        let configs: Vec<PipelineConfig> = machines.iter().map(|m| m.pipeline).collect();
+        let batched = simulate_image_batch(&image, &configs);
         assert_eq!(batched.len(), machines.len());
         for (m, b) in machines.iter().zip(&batched) {
-            let timing = oracle(&image, m.pipeline);
-            assert_eq!(b.timing, timing, "machine {} diverged", m.name);
-            assert_eq!(b.time_ns, timing.cycles as f64 / m.freq_ghz);
-            assert_eq!(&m.run_image(&image), b, "machine {} run_image", m.name);
+            assert_eq!(
+                *b,
+                oracle(&image, m.pipeline),
+                "machine {} diverged",
+                m.name
+            );
         }
     }
 }

@@ -78,6 +78,6 @@ pub use exec::{
     Observer,
 };
 pub use image::{ExecImage, SiteMeta};
-pub use machine::{MachineConfig, MachineIsa, MachineResult};
+pub use machine::{MachineConfig, MachineIsa};
 pub use pipeline::{simulate, simulate_image, PipelineConfig, PipelineResult};
 pub use verify::{verify_image, VerifyError, VerifyReport};

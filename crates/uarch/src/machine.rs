@@ -5,13 +5,10 @@
 //! and an Itanium 2 (IA-64, in-order EPIC).  Each [`MachineConfig`] couples a
 //! pipeline timing model with a clock frequency and names the ISA its
 //! binaries must be compiled for; the experiment harness compiles each
-//! workload for that ISA and divides simulated cycles by the clock to obtain
-//! wall-clock execution time.
+//! workload for that ISA, and [`MachineConfig::time_ns`] divides simulated
+//! cycles by the clock to obtain wall-clock execution time.
 
-use crate::batch::simulate_image_batch;
-use crate::image::ExecImage;
-use crate::pipeline::{simulate, simulate_image, PipelineConfig, PipelineResult};
-use bsg_ir::Program;
+use crate::pipeline::{PipelineConfig, PipelineResult};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -122,56 +119,17 @@ impl MachineConfig {
         machines
     }
 
-    /// Runs a (pre-compiled) program on this machine model.
-    pub fn run(&self, program: &Program) -> MachineResult {
-        let timing = simulate(program, self.pipeline);
-        self.result_of(timing)
+    /// Wall-clock execution time in nanoseconds of a run this machine's
+    /// pipeline timed: simulated cycles over the clock.
+    pub fn time_ns(&self, timing: &PipelineResult) -> f64 {
+        timing.cycles as f64 / self.freq_ghz
     }
-
-    /// [`run`](Self::run) over a prebuilt [`ExecImage`]: a one-machine
-    /// [`run_batch`](Self::run_batch).
-    pub fn run_image(&self, image: &ExecImage) -> MachineResult {
-        self.result_of(simulate_image(image, self.pipeline))
-    }
-
-    /// Times one compiled image on **many** machine models with a single
-    /// functional execution ([`simulate_image_batch`]), in roster order, at
-    /// roughly the cost of one.  Callers group machines by binary
-    /// themselves — every machine in the batch times the *same* image, so
-    /// the grouping decision (which machines run identical code) stays
-    /// with the layer that compiles.
-    pub fn run_batch(machines: &[MachineConfig], image: &ExecImage) -> Vec<MachineResult> {
-        let configs: Vec<PipelineConfig> = machines.iter().map(|m| m.pipeline).collect();
-        machines
-            .iter()
-            .zip(simulate_image_batch(image, &configs))
-            .map(|(m, timing)| m.result_of(timing))
-            .collect()
-    }
-
-    fn result_of(&self, timing: PipelineResult) -> MachineResult {
-        MachineResult {
-            machine: self.name.clone(),
-            time_ns: timing.cycles as f64 / self.freq_ghz,
-            timing,
-        }
-    }
-}
-
-/// The outcome of running a program on a machine model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MachineResult {
-    /// Machine name.
-    pub machine: String,
-    /// Wall-clock execution time in nanoseconds.
-    pub time_ns: f64,
-    /// Pipeline-level details.
-    pub timing: PipelineResult,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::simulate;
     use bsg_ir::program::{Function, Global, Program};
     use bsg_ir::types::Ty;
     use bsg_ir::visa::{Address, BinOp, Inst, Operand, Terminator};
@@ -262,10 +220,13 @@ mod tests {
             .find(|m| m.name == "Pentium 4, 2.8GHz")
             .unwrap();
         let prog = small_loop();
-        let t3 = p4_3.run(&prog);
-        let t28 = p4_28.run(&prog);
-        assert_eq!(t3.timing.cycles, t28.timing.cycles, "identical pipelines");
-        assert!(t3.time_ns < t28.time_ns, "the 3GHz part finishes sooner");
+        let t3 = simulate(&prog, p4_3.pipeline);
+        let t28 = simulate(&prog, p4_28.pipeline);
+        assert_eq!(t3.cycles, t28.cycles, "identical pipelines");
+        assert!(
+            p4_3.time_ns(&t3) < p4_28.time_ns(&t28),
+            "the 3GHz part finishes sooner"
+        );
     }
 
     #[test]
@@ -276,15 +237,19 @@ mod tests {
         let i7 = machines.iter().find(|m| m.name == "Core i7").unwrap();
         let itanium = machines.iter().find(|m| m.name == "Itanium 2").unwrap();
         let prog = small_loop();
-        assert!(i7.run(&prog).time_ns < itanium.run(&prog).time_ns);
+        let time = |m: &MachineConfig| m.time_ns(&simulate(&prog, m.pipeline));
+        assert!(time(i7) < time(itanium));
     }
 
     #[test]
-    fn machine_result_reports_time_and_name() {
+    fn time_is_cycles_over_the_clock() {
         let machines = MachineConfig::table3();
-        let r = machines[0].run(&small_loop());
-        assert!(r.time_ns > 0.0);
-        assert_eq!(r.machine, machines[0].name);
+        let timing = simulate(&small_loop(), machines[0].pipeline);
+        assert!(timing.cycles > 0);
+        assert_eq!(
+            machines[0].time_ns(&timing),
+            timing.cycles as f64 / machines[0].freq_ghz
+        );
         assert!(MachineIsa::Ia64.to_string().contains("IA64"));
     }
 }

@@ -9,7 +9,9 @@
 use benchsynth::compiler::{compile, CompileOptions, OptLevel};
 use benchsynth::profile::{profile_program, ProfileConfig};
 use benchsynth::synth::{synthesize_with_target, SynthesisConfig};
-use benchsynth::uarch::pipeline::{simulate, PipelineConfig};
+use benchsynth::uarch::batch::simulate_image_batch;
+use benchsynth::uarch::image::ExecImage;
+use benchsynth::uarch::pipeline::PipelineConfig;
 use benchsynth::workloads::{suite, InputSize};
 
 fn main() {
@@ -31,20 +33,22 @@ fn main() {
 
     // The vendor explores L1 cache sizes using the clone, and the company
     // checks (internally) that the original would rank the designs the same.
+    // One execution per program times every size.
+    let sizes = [4u64, 8, 16, 32, 64];
+    let configs = sizes.map(PipelineConfig::ptlsim_2wide);
+    let clone_o0 = compile(
+        &clone.benchmark.hll,
+        &CompileOptions::portable(OptLevel::O0),
+    )
+    .unwrap();
+    let time = |program| simulate_image_batch(&ExecImage::new(program), &configs);
+    let (original, cloned) = (time(&o0.program), time(&clone_o0.program));
     println!(
         "\n{:<10} {:>16} {:>16}",
         "L1 size", "CPI (original)", "CPI (clone)"
     );
-    for kb in [4u64, 8, 16, 32, 64] {
-        let config = PipelineConfig::ptlsim_2wide(kb);
-        let cpi_original = simulate(&o0.program, config).cpi();
-        let clone_prog = compile(
-            &clone.benchmark.hll,
-            &CompileOptions::portable(OptLevel::O0),
-        )
-        .unwrap();
-        let cpi_clone = simulate(&clone_prog.program, config).cpi();
-        println!("{:>6} KB {:>16.3} {:>16.3}", kb, cpi_original, cpi_clone);
+    for ((kb, o), c) in sizes.iter().zip(&original).zip(&cloned) {
+        println!("{:>6} KB {:>16.3} {:>16.3}", kb, o.cpi(), c.cpi());
     }
     println!("\nThe vendor never sees the original; the clone drives the same design choice.");
 }

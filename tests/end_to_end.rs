@@ -10,6 +10,7 @@ use benchsynth::uarch::branch::{Hybrid, PredictorObserver};
 use benchsynth::uarch::cache::{CacheConfig, CacheObserver};
 use benchsynth::uarch::exec::{self, execute, ExecConfig};
 use benchsynth::uarch::machine::MachineConfig;
+use benchsynth::uarch::pipeline::simulate;
 use benchsynth::workloads::{suite, InputSize, Workload};
 
 const TARGET: u64 = 20_000;
@@ -139,8 +140,12 @@ fn clones_compile_and_run_on_every_isa_and_machine() {
             &CompileOptions::new(OptLevel::O2, isa),
         )
         .unwrap();
-        let result = machine.run(&compiled.program);
-        assert!(result.time_ns > 0.0, "{} reports a time", machine.name);
+        let timing = simulate(&compiled.program, machine.pipeline);
+        assert!(
+            machine.time_ns(&timing) > 0.0,
+            "{} reports a time",
+            machine.name
+        );
     }
 }
 
