@@ -180,7 +180,7 @@ fn main() {
 
     // Programs under measurement: the microbenchmark + the compiled suite.
     // The suite's compiles and predecoded images come out of the artifact
-    // store, fanned out on the work-stealing scheduler; the VISA-level
+    // store, fanned out on the task scheduler; the VISA-level
     // microbenchmark has no HLL source, so its image is built directly.
     let micro = strided_loop(1 << 14, 3, 400_000);
     let micro_image = ExecImage::new(&micro);

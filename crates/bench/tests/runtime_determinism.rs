@@ -1,8 +1,8 @@
 //! Scheduler determinism, registry stability and store correctness at the
 //! harness level.
 //!
-//! The work-stealing scheduler interleaves task *execution* differently at
-//! every worker count, but results are keyed by submission index, so
+//! The scheduler interleaves task *execution* differently at every worker
+//! count, but results are keyed by submission index, so
 //! everything the harness emits must be bit-identical at any parallelism.
 //! These tests pin that down on real figure text — including against golden
 //! outputs captured from the **pre-registry, pre-Experiment harness**, so
@@ -28,7 +28,8 @@ use bsg_uarch::pipeline::PipelineConfig;
 use bsg_workloads::{suite, InputSize, WorkloadRegistry};
 
 /// A small but non-trivial artifact set: three workloads with distinct cost
-/// profiles, enough for steals to actually happen at 2 and 8 workers.
+/// profiles, enough for the workers to finish out of submission order at 2
+/// and 8 workers.
 fn small_artifact_set() -> Vec<WorkloadArtifacts> {
     let picks = ["adpcm/small", "bitcount/small", "crc32/small"];
     suite(InputSize::Small)

@@ -139,6 +139,17 @@ pub fn from_canon_bytes<T: Decanon>(bytes: &[u8]) -> Option<T> {
     r.is_exhausted().then_some(value)
 }
 
+/// 64-bit FNV-1a: the integrity checksum over canonical bytes in the disk
+/// artifact cache's entries and the server's wire frames.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Declares a type's canonical layout once and derives both [`Canon`] and
 /// [`Decanon`] from it.
 ///
@@ -717,6 +728,13 @@ mod tests {
         f.ret(Some(Expr::var("s")));
         p.add_function(f.finish());
         p
+    }
+
+    #[test]
+    fn fnv64_matches_the_standard_fnv1a_vectors() {
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   crate lowers the HLL into and that the microarchitecture simulators
 //!   execute.
 //!
-//! The crate also contains the CFG analyses ([`cfg`]: dominators, natural
+//! The crate also contains the CFG analyses ([`cfg`](mod@cfg): dominators, natural
 //! loops, reverse post-order) shared by the optimizing compiler and by the
 //! SFGL profiler.
 //!

@@ -242,15 +242,6 @@ impl Program {
         &self.functions[id.index()]
     }
 
-    /// Mutable accessor for a function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn function_mut(&mut self, id: FuncId) -> &mut Function {
-        &mut self.functions[id.index()]
-    }
-
     /// Looks a function up by name.
     pub fn function_by_name(&self, name: &str) -> Option<FuncId> {
         self.functions

@@ -223,11 +223,6 @@ impl Address {
             scale: 1,
         }
     }
-
-    /// Returns `true` if the address uses an index register.
-    pub fn is_indexed(&self) -> bool {
-        self.index.is_some()
-    }
 }
 
 impl fmt::Display for Address {
@@ -265,11 +260,6 @@ impl Operand {
             Operand::Reg(r) => Some(*r),
             _ => None,
         }
-    }
-
-    /// Returns `true` if the operand is an immediate (integer or float).
-    pub fn is_imm(&self) -> bool {
-        matches!(self, Operand::ImmInt(_) | Operand::ImmFloat(_))
     }
 
     /// Returns `true` if the operand reads memory.

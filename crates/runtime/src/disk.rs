@@ -63,6 +63,7 @@
 //! byte-identical.
 
 use crate::fault::{FaultPlan, StoreFault};
+use bsg_ir::codec::fnv64;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -95,15 +96,6 @@ pub const ENV_MAX_MB: &str = "BSG_ARTIFACT_MAX_MB";
 /// default tolerates dozens of toolchain fingerprints / config axes before
 /// eviction starts, while still bounding an unattended cache directory.
 pub const DEFAULT_MAX_MB: u64 = 512;
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The artifact kinds the disk tier attributes per-kind counters to, in the
 /// order of [`DiskStats::per_kind`].  These are the store's table names —
@@ -342,11 +334,6 @@ impl DiskCache {
             degraded: self.degraded.load(Ordering::Relaxed),
             per_kind,
         }
-    }
-
-    /// Whether the tier has turned itself off after repeated IO failures.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
     }
 
     /// One real or injected IO failure: count it, and degrade to memory-only

@@ -11,11 +11,12 @@
 //!    per process and hands out `Arc`s.
 //! 2. **Sweep points have wildly uneven costs.**  `susan` runs an order of
 //!    magnitude longer than `crc32`; a static partition of coarse
-//!    per-workload units leaves workers idle.  The [`Runtime`] is a
-//!    work-stealing scheduler (per-worker deques, LIFO local pop, FIFO
-//!    steal) over scoped threads, with deterministic submission-ordered
-//!    results, so figures can shard their sweeps into fine-grained tasks
-//!    and still emit byte-identical text at any worker count.
+//!    per-workload units leaves workers idle.  The [`Runtime`] keeps each
+//!    batch in one shared queue over scoped threads: every worker takes the
+//!    next task in submission order as soon as it is free, so no worker
+//!    idles while tasks remain, and results come back in submission order,
+//!    so figures can shard their sweeps into fine-grained tasks and still
+//!    emit byte-identical text at any worker count.
 //!
 //! The experiment harness (`bsg-bench`) routes every figure and table
 //! through these two components; see that crate for the call sites.

@@ -1,40 +1,38 @@
-//! The work-stealing sweep scheduler.
+//! The sweep scheduler: one shared task queue over scoped worker threads.
 //!
-//! [`Runtime::run`] executes a batch of independent tasks on scoped worker
-//! threads.  The batch is split into contiguous chunks, one per worker deque;
-//! each worker pops its *own* deque LIFO (newest first, the cache-warm end)
-//! and, when it runs dry, steals FIFO from the other deques (oldest first —
-//! the end the victim will touch last, minimizing contention).  Long-running
-//! tasks therefore never leave workers idle behind a static partition, which
-//! is what the experiment harness needs once per-figure sweeps are sharded
-//! into fine-grained (workload × config-point) tasks of wildly varying cost.
+//! [`Runtime::try_run`] executes a batch of independent tasks on scoped
+//! worker threads.  The batch waits in one `Mutex`-guarded queue in
+//! submission order, and each worker takes the next task whenever it
+//! finishes its last one, until the queue is empty.  Claiming on demand
+//! keeps every worker busy however uneven the task costs are (a long task
+//! holds back only the worker running it), and tasks *start* in submission
+//! order, so a batch submitted longest-first runs longest-first.  Nothing
+//! re-enqueues (nested batches run inline), so per-worker deques and
+//! stealing would add nothing; one lock per claimed task is noise next to
+//! the task.
 //!
 //! Results are written back by submission index, so the returned `Vec` is in
-//! submission order regardless of worker count or steal interleaving:
-//! `Runtime::run` with 1, 2 or 8 workers returns bit-identical results for
-//! deterministic tasks (the bench crate's determinism suite enforces this on
-//! whole figure texts).
+//! submission order regardless of worker count or interleaving: a batch run
+//! with 1, 2 or 8 workers returns bit-identical results for deterministic
+//! tasks (the bench crate's determinism suite enforces this on whole figure
+//! texts).
 //!
-//! `run` may be called from inside a task (nested sweeps).  A nested batch
-//! executes inline on the calling worker, in submission order: the top-level
-//! shard granularity is where parallelism comes from, and running nested
-//! batches inline keeps the pool free of lifetime erasure (`unsafe`) and of
-//! thread oversubscription while preserving determinism.
+//! A batch may be submitted from inside a task (nested sweeps).  A nested
+//! batch executes inline on the calling worker, in submission order: the
+//! top-level shard granularity is where parallelism comes from, and running
+//! nested batches inline keeps the pool free of lifetime erasure (`unsafe`)
+//! and of thread oversubscription while preserving determinism.
 //!
 //! # Fault isolation
 //!
 //! Every task runs under `catch_unwind`: a panicking task becomes an
 //! `Err(BsgError::TaskPanic)` in *its own* submission slot of
 //! [`Runtime::try_run`]'s result vector, and every other task — including
-//! ones queued behind it on the same deque — completes normally.  (Before
-//! PR 6 a panic unwound through the worker, `join` re-panicked in the
-//! caller, sibling results were dropped, and the `Mutex`-guarded deques
-//! poison-cascaded so any surviving worker panicked on its next `lock`.)
-//! The infallible [`Runtime::run`] keeps its historical contract — it
-//! panics if any task failed — but only after the whole batch has drained,
-//! so a sweep is never half-executed.  [`RunPolicy`] adds an optional
-//! per-task deadline and an optional batch-wide [`CancelToken`]: the
-//! isolation boundary installs a per-task child token ambiently
+//! ones queued behind it — completes normally.  The infallible
+//! [`Runtime::map`] panics if any task failed, but only after the whole
+//! batch has drained, so a sweep is never half-executed.  [`RunPolicy`] adds
+//! an optional per-task deadline and an optional batch-wide [`CancelToken`]:
+//! the isolation boundary installs a per-task child token ambiently
 //! ([`bsg_uarch::cancel`]), the executor's bounded dispatch loop polls it,
 //! and a runaway task is therefore *preempted* mid-execution — the overrun
 //! still surfaces deterministically as `Err(BsgError::DeadlineExceeded)` in
@@ -45,15 +43,14 @@
 use crate::error::{lock_unpoisoned, panic_message, BsgError, BsgResult};
 use bsg_uarch::cancel::{self, CancelToken};
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 thread_local! {
-    /// Set while the current thread is a pool worker; nested [`Runtime::run`]
-    /// calls detect it and execute inline instead of spawning a second pool.
+    /// Set while the current thread is a pool worker; batches submitted from
+    /// a task detect it and execute inline instead of spawning a second pool.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
     /// Scoped worker-count override installed by [`with_workers`].
     static WORKER_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
@@ -180,10 +177,11 @@ fn run_isolated<R>(task: impl FnOnce() -> R, policy: &RunPolicy) -> BsgResult<R>
     }
 }
 
-/// A work-stealing task scheduler with a fixed worker budget.
+/// A task scheduler with a fixed worker budget: each batch is one shared
+/// queue that the workers drain in submission order.
 ///
 /// The `Runtime` itself is cheap (a worker count); threads are scoped to each
-/// [`run`](Runtime::run) call so tasks may borrow from the caller's stack.
+/// batch so tasks may borrow from the caller's stack.
 #[derive(Debug, Clone, Copy)]
 pub struct Runtime {
     workers: usize,
@@ -239,35 +237,13 @@ impl Runtime {
         self.workers
     }
 
-    /// Executes every task in `tasks` and returns their results in
-    /// submission order.
+    /// Executes every task in `tasks` and returns each task's outcome —
+    /// value, caught panic, or deadline overrun — in its own submission
+    /// slot; one faulting task never aborts, blocks or reorders the others.
     ///
     /// Tasks run concurrently on up to `workers` scoped threads; a batch of
     /// one task, a single-worker runtime, or a nested call from inside a task
     /// all execute inline on the calling thread.
-    ///
-    /// # Panics
-    ///
-    /// If any task panicked, `run` panics **after the whole batch has
-    /// drained** (every other task still runs to completion; the panic
-    /// carries the first failing task's message).  Callers that need
-    /// per-task outcomes use [`try_run`](Runtime::try_run) instead.
-    pub fn run<R, F>(&self, tasks: Vec<F>) -> Vec<R>
-    where
-        R: Send,
-        F: FnOnce() -> R + Send,
-    {
-        self.try_run(tasks)
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| r.unwrap_or_else(|e| panic!("scheduler task {i} failed: {e}")))
-            .collect()
-    }
-
-    /// [`run`](Runtime::run) with per-task fault isolation: every task's
-    /// outcome — value, caught panic, or deadline overrun — is returned in
-    /// its own submission slot, and one faulting task never aborts, blocks
-    /// or reorders the others.
     pub fn try_run<R, F>(&self, tasks: Vec<F>) -> Vec<BsgResult<R>>
     where
         R: Send,
@@ -292,66 +268,40 @@ impl Runtime {
                 .collect();
         }
 
-        // Tasks live in index-addressed slots; the deques carry indices, so
-        // stealing moves a `usize`, not the closure.
-        let slots: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        // Seed each worker's deque with a contiguous chunk of the batch.
-        let chunk = n.div_ceil(workers);
-        let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w * chunk..((w + 1) * chunk).min(n)).collect()))
-            .collect();
-
-        let slots = &slots;
-        let deques = &deques;
-        let policy = &policy;
-        let per_worker: Vec<Vec<(usize, BsgResult<R>)>> = std::thread::scope(|scope| {
+        // One queue in submission order: each worker claims the next task
+        // until it is empty.  The claim is its own statement so the lock is
+        // released before the task runs.  Panics are caught inside
+        // `run_isolated`, so a faulting task neither unwinds through this
+        // loop nor poisons the queue for its siblings.
+        let queue = Mutex::new(tasks.into_iter().enumerate());
+        let mut results: Vec<Option<BsgResult<R>>> = (0..n).map(|_| None).collect();
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
+                .map(|_| {
+                    scope.spawn(|| {
                         IN_WORKER.with(|f| f.set(true));
                         let mut out = Vec::new();
-                        // The whole batch is seeded before the workers start
-                        // and nothing re-enqueues (nested runs execute
-                        // inline), so drained deques stay drained: a worker
-                        // that finds no task anywhere is done.  Panics are
-                        // caught inside `run_isolated`, so a faulting task
-                        // neither unwinds through this loop nor poisons the
-                        // slot/deque mutexes for its siblings.
-                        while let Some(i) = claim(w, deques) {
-                            let Some(task) = lock_unpoisoned(&slots[i]).take() else {
-                                // Unreachable by construction (each index is
-                                // claimed exactly once); tolerated rather
-                                // than asserted so a logic bug degrades to a
-                                // missing-result error, not a worker abort.
-                                continue;
-                            };
-                            out.push((i, run_isolated(task, policy)));
+                        loop {
+                            let next = lock_unpoisoned(&queue).next();
+                            let Some((i, task)) = next else { break out };
+                            out.push((i, run_isolated(task, &policy)));
                         }
-                        out
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|payload| {
-                        // A worker can only panic outside the task boundary
-                        // (a bug in the scheduler itself).  Surface it as a
-                        // missing-results worker instead of unwinding.
-                        eprintln!(
-                            "[bsg-runtime] scheduler worker panicked outside a task: {}",
-                            panic_message(payload.as_ref())
-                        );
-                        Vec::new()
-                    })
-                })
-                .collect()
+            for handle in handles {
+                match handle.join() {
+                    Ok(out) => out.into_iter().for_each(|(i, r)| results[i] = Some(r)),
+                    // A worker can only panic outside the task boundary (a
+                    // bug in the scheduler itself).  Its tasks surface as
+                    // missing results instead of unwinding.
+                    Err(payload) => eprintln!(
+                        "[bsg-runtime] scheduler worker panicked outside a task: {}",
+                        panic_message(payload.as_ref())
+                    ),
+                }
+            }
         });
-
-        let mut results: Vec<Option<BsgResult<R>>> = (0..n).map(|_| None).collect();
-        for (i, r) in per_worker.into_iter().flatten() {
-            results[i] = Some(r);
-        }
         results
             .into_iter()
             .map(|r| {
@@ -363,20 +313,25 @@ impl Runtime {
     }
 
     /// Maps `items` through `f` on the scheduler, preserving input order in
-    /// the result (the data-parallel convenience over [`run`](Runtime::run)).
+    /// the result.
+    ///
+    /// # Panics
+    ///
+    /// If any item panicked, `map` panics **after the whole batch has
+    /// drained** (every other item still runs to completion; the panic
+    /// carries the first failing item's message).  Callers that need
+    /// per-item outcomes use [`try_map`](Runtime::try_map) instead.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        let f = &f;
-        self.run(
-            items
-                .into_iter()
-                .map(|item| move || f(item))
-                .collect::<Vec<_>>(),
-        )
+        self.try_map(items, f)
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| r.unwrap_or_else(|e| panic!("scheduler task {i} failed: {e}")))
+            .collect()
     }
 
     /// [`map`](Runtime::map) with per-item fault isolation: each item's
@@ -398,12 +353,6 @@ impl Runtime {
     }
 }
 
-impl Default for Runtime {
-    fn default() -> Self {
-        Runtime::new(Runtime::default_workers())
-    }
-}
-
 /// Validates a [`WORKERS_ENV`] / `--workers` override: a positive integer
 /// (surrounding whitespace tolerated).  Returns a human-readable rejection
 /// reason for everything else, including `0` — a zero-worker pool would
@@ -418,16 +367,6 @@ pub fn parse_workers(raw: &str) -> Result<usize, &'static str> {
         Ok(0) => Err("zero workers would wedge the pool"),
         Ok(n) => Ok(n),
     }
-}
-
-/// Claims one task index for worker `w`: LIFO from its own deque, else FIFO
-/// from the first other deque that has work.
-fn claim(w: usize, deques: &[Mutex<VecDeque<usize>>]) -> Option<usize> {
-    if let Some(i) = lock_unpoisoned(&deques[w]).pop_back() {
-        return Some(i);
-    }
-    let n = deques.len();
-    (1..n).find_map(|step| lock_unpoisoned(&deques[(w + step) % n]).pop_front())
 }
 
 #[cfg(test)]
@@ -449,10 +388,9 @@ mod tests {
     fn every_task_runs_exactly_once() {
         let counter = AtomicU64::new(0);
         let rt = Runtime::new(4);
-        let tasks: Vec<_> = (0..200)
-            .map(|_| || counter.fetch_add(1, Ordering::Relaxed))
-            .collect();
-        let results = rt.run(tasks);
+        let results = rt.map((0..200).collect(), |_: u64| {
+            counter.fetch_add(1, Ordering::Relaxed)
+        });
         assert_eq!(results.len(), 200);
         assert_eq!(counter.load(Ordering::Relaxed), 200);
         // Each task observed a distinct pre-increment value.
@@ -482,9 +420,9 @@ mod tests {
     #[test]
     fn empty_and_singleton_batches_work() {
         let rt = Runtime::new(8);
-        let empty: Vec<i32> = rt.run(Vec::<fn() -> i32>::new());
+        let empty: Vec<i32> = rt.map(Vec::new(), |x: i32| x);
         assert!(empty.is_empty());
-        assert_eq!(rt.run(vec![|| 7]), vec![7]);
+        assert_eq!(rt.map(vec![7], |x: i32| x), vec![7]);
     }
 
     #[test]
@@ -672,7 +610,7 @@ mod tests {
     }
 
     #[test]
-    fn run_panics_only_after_the_batch_drains() {
+    fn map_panics_only_after_the_batch_drains() {
         let counter = std::sync::Arc::new(AtomicU64::new(0));
         let c = counter.clone();
         let result = std::panic::catch_unwind(move || {
@@ -688,7 +626,7 @@ mod tests {
         assert_eq!(
             counter.load(Ordering::Relaxed),
             31,
-            "run still executed every non-faulting task before re-panicking"
+            "map still executed every non-faulting task before re-panicking"
         );
     }
 
@@ -710,10 +648,10 @@ mod tests {
     }
 
     #[test]
-    fn uneven_task_costs_are_stolen() {
-        // One long task at the front of worker 0's chunk; with static
-        // partitioning the rest of its chunk would wait behind it.  The
-        // schedule must still complete and preserve order.
+    fn a_long_task_does_not_hold_back_the_rest() {
+        // One long task at the front of the batch; with static partitioning
+        // the rest of its partition would wait behind it.  The schedule must
+        // still complete and preserve order.
         let rt = Runtime::new(2);
         let got = rt.map((0..16).collect(), |i: u64| {
             if i == 0 {
@@ -722,5 +660,28 @@ mod tests {
             i * 3
         });
         assert_eq!(got, (0..16).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_batch_starts_in_submission_order() {
+        // Task `i` waits until task `i - 1` has started.  Claiming in
+        // submission order ends every wait at once; a worker that started a
+        // later task first would hold it while nobody starts its predecessor.
+        use std::sync::Condvar;
+        for workers in [2, 4] {
+            let started = Mutex::new(vec![false; 16]);
+            let turn = Condvar::new();
+            let timed_out = Runtime::new(workers).map((0..16).collect(), |i: usize| {
+                let (mut guard, wait) = turn
+                    .wait_timeout_while(started.lock().unwrap(), Duration::from_secs(2), |s| {
+                        i > 0 && !s[i - 1]
+                    })
+                    .unwrap();
+                guard[i] = true;
+                turn.notify_all();
+                wait.timed_out()
+            });
+            assert_eq!(timed_out, vec![false; 16], "workers = {workers}");
+        }
     }
 }

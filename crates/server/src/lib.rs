@@ -6,7 +6,7 @@
 //! clients can share one hot artifact store — the `bsg-server` binary
 //! serves profile/synthesize/measure/figure/stats requests over a
 //! length-prefixed, checksummed wire protocol ([`proto`]), batching
-//! concurrent requests through the work-stealing scheduler with per-request
+//! concurrent requests through the shared task scheduler with per-request
 //! fault isolation ([`server`]), and the `bsg-load` binary drives it with
 //! hundreds of concurrent clients and writes `BENCH_server.json`
 //! ([`load`]).

@@ -11,7 +11,7 @@
 //!   the daemon restarted on a persistent `BSG_ARTIFACT_DIR`) the disk
 //!   tier's hit path.
 //!
-//! Results go to `BENCH_server.json` via [`write_bench_json`], in the same
+//! Results go to `BENCH_server.json` via [`bench_json`], in the same
 //! hand-rolled-JSON idiom as `BENCH_interp.json`.
 //!
 //! # Chaos soak (PR 10)

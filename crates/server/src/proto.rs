@@ -34,7 +34,7 @@
 //! one connection.
 
 use bsg_compiler::CompileOptions;
-use bsg_ir::codec::{from_canon_bytes, to_canon_bytes};
+use bsg_ir::codec::{fnv64, from_canon_bytes, to_canon_bytes};
 use bsg_ir::hll::HllProgram;
 use bsg_profile::{ProfileConfig, StatisticalProfile};
 use bsg_runtime::{BsgError, StoreStats};
@@ -76,16 +76,6 @@ pub const KIND_OK: u8 = 100;
 /// Reply kind: the payload is a canonical [`BsgError`].
 pub const KIND_ERR: u8 = 101;
 
-/// FNV-64 (the artifact disk tier's checksum, reused for wire frames).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One wire frame, header fields plus payload (delimiter stripped).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
@@ -98,8 +88,8 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// Why a frame could not be read.  Structural errors ([`BadMagic`]
-/// (`FrameError::BadMagic`) and friends) mean the byte stream itself is
+/// Why a frame could not be read.  Structural errors
+/// ([`FrameError::BadMagic`] and friends) mean the byte stream itself is
 /// unusable and the connection should close; they are distinct from
 /// semantic errors (undecodable payload, unknown figure), which travel back
 /// to the client as [`BsgError::InvalidRequest`] replies with the

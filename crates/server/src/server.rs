@@ -12,7 +12,7 @@
 //! thread over a channel; the dispatcher drains up to
 //! [`ServerConfig::batch_max`] queued requests at a time and runs the
 //! batch through [`Runtime::try_run`], so concurrent clients share the
-//! work-stealing scheduler instead of each spawning threads.  `try_run`'s
+//! scheduler's one task queue instead of each spawning threads.  `try_run`'s
 //! per-task fault isolation means one poisoned request (panicking build,
 //! injected `BSG_FAULT` chaos) costs exactly its own reply — the rest of
 //! the batch completes normally.
@@ -46,7 +46,7 @@
 //!   accept loop, lets the dispatcher answer everything already admitted,
 //!   and removes the Unix socket before exit.
 //!
-//! All artifact work goes through the process-global [`ArtifactStore`], so
+//! All artifact work goes through the process-global [`ArtifactStore`](bsg_runtime::ArtifactStore), so
 //! every client shares one hot memory + disk cache: N clients requesting
 //! the same profile cost one build and N−1 hits, and a warm disk tier
 //! serves across daemon restarts.

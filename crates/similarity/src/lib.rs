@@ -143,12 +143,8 @@ fn hash_tokens(tokens: &[Token]) -> Vec<u64> {
 }
 
 /// Moss-style winnowing fingerprints: hash every `k`-gram of the token
-/// stream, then keep the minimum hash of every window of `w` consecutive
+/// hashes, then keep the minimum hash of every window of `w` consecutive
 /// k-grams.
-pub fn winnow_fingerprints(source: &str, k: usize, w: usize) -> HashSet<u64> {
-    winnow(&hash_tokens(&tokenize(source)), k, w)
-}
-
 fn winnow(hashes: &[u64], k: usize, w: usize) -> HashSet<u64> {
     if hashes.len() < k {
         return hashes.iter().copied().collect();
