@@ -42,9 +42,10 @@ pub enum BsgError {
         message: String,
     },
     /// An artifact build failed (builder returned an error or panicked).
-    /// After bounded retries the error is memoized per key, so every
-    /// waiter — present and future — receives this same value instead of
-    /// blocking on a build that will never complete.
+    /// Builds are pure functions of their key, so the failure is final: the
+    /// error is memoized per key, and every waiter — present and future —
+    /// receives this same value instead of blocking on a build that will
+    /// never complete.
     BuildFailed {
         /// The artifact table the build belonged to (`compiled`,
         /// `profile`, `synthesis`, `c-text`).
@@ -52,8 +53,6 @@ pub enum BsgError {
         /// The content address of the failed key (hex), for correlation
         /// with disk-tier entries and logs.
         key: String,
-        /// How many build attempts were made for this key so far.
-        attempts: u32,
         /// The underlying failure, rendered to text.
         message: String,
     },
@@ -69,7 +68,7 @@ pub enum BsgError {
         message: String,
     },
     /// A task exceeded the per-task deadline configured via
-    /// [`crate::scheduler::RunPolicy`].  The deadline is **preemptive** for
+    /// [`Runtime::with_deadline`](crate::Runtime::with_deadline).  The deadline is **preemptive** for
     /// executor work: the scheduler installs an ambient cancellation token
     /// around each task and the dispatch loop polls it, halting a runaway
     /// program mid-execution; host-code phases without a poll point are
@@ -106,15 +105,9 @@ impl fmt::Display for BsgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BsgError::TaskPanic { message } => write!(f, "task panicked: {message}"),
-            BsgError::BuildFailed {
-                kind,
-                key,
-                attempts,
-                message,
-            } => write!(
-                f,
-                "{kind} artifact build failed for key {key} (attempt {attempts}): {message}"
-            ),
+            BsgError::BuildFailed { kind, key, message } => {
+                write!(f, "{kind} artifact build failed for key {key}: {message}")
+            }
             BsgError::Io { op, path, message } => {
                 write!(f, "io error during {op} of {path}: {message}")
             }
@@ -170,16 +163,10 @@ impl Canon for BsgError {
                 w.write(&[0]);
                 message.canon(w);
             }
-            BsgError::BuildFailed {
-                kind,
-                key,
-                attempts,
-                message,
-            } => {
+            BsgError::BuildFailed { kind, key, message } => {
                 w.write(&[1]);
                 kind.canon(w);
                 key.canon(w);
-                attempts.canon(w);
                 message.canon(w);
             }
             BsgError::Io { op, path, message } => {
@@ -218,7 +205,6 @@ impl Decanon for BsgError {
             1 => Some(BsgError::BuildFailed {
                 kind: intern_kind(&String::decanon(r)?),
                 key: String::decanon(r)?,
-                attempts: u32::decanon(r)?,
                 message: String::decanon(r)?,
             }),
             2 => Some(BsgError::Io {
@@ -261,7 +247,7 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// user code runs while a lock is held), but a panicking *task* on a worker
 /// thread must never cascade into "every other worker panics on
 /// `lock().unwrap()`" — which is exactly what `Mutex` poisoning does by
-/// default.  The data guarded by these locks (task deques, slot state
+/// default.  The data guarded by these locks (the task queue, slot state
 /// machines, memo maps) is valid at every instruction boundary, so
 /// recovering the guard is sound.
 pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -295,13 +281,12 @@ mod tests {
         let e = BsgError::BuildFailed {
             kind: "compiled",
             key: "deadbeef".into(),
-            attempts: 2,
             message: "compile failed".into(),
         };
         let text = e.to_string();
         assert!(text.contains("compiled"));
         assert!(text.contains("deadbeef"));
-        assert!(text.contains("attempt 2"));
+        assert!(text.contains("compile failed"));
         let d = BsgError::DeadlineExceeded {
             elapsed_ms: 120,
             deadline_ms: 50,
@@ -318,7 +303,6 @@ mod tests {
             BsgError::BuildFailed {
                 kind: "profile",
                 key: "00ff".into(),
-                attempts: 3,
                 message: "builder failed".into(),
             },
             BsgError::Io {

@@ -23,9 +23,10 @@
 //!
 //! Since PR 6 the crate is also the workspace's **fault-isolation layer**:
 //! scheduler tasks run under `catch_unwind` and report per-task
-//! [`BsgResult`]s ([`Runtime::try_run`]), artifact builds recover from
-//! failure with bounded retries and a per-key failure memo instead of
-//! deadlocking waiters ([`store`]), and the disk tier degrades to
+//! [`BsgResult`]s ([`Runtime::try_run`]) under an optional per-task
+//! deadline ([`Runtime::with_deadline`], the one failure policy), a failed
+//! artifact build is final and memoized per key instead of deadlocking
+//! waiters ([`store`]), and the disk tier degrades to
 //! memory-only caching under injected or real IO faults ([`fault`],
 //! `BSG_FAULT`).  The chaos suite (`bsg-bench/tests/fault_injection.rs` and
 //! the CI chaos job) holds those properties under injected panics, ENOSPC,
@@ -51,6 +52,6 @@ pub use disk::{DiskCache, DiskStats, KindStats};
 pub use error::{panic_message, BsgError, BsgResult};
 pub use fault::FaultPlan;
 pub use scheduler::{
-    apply_workers_flag, install_global_workers, parse_workers, with_workers, RunPolicy, Runtime,
+    apply_workers_flag, install_global_workers, parse_workers, with_workers, Runtime,
 };
 pub use store::{ArtifactStore, CompiledArtifact, SourceId, StoreStats};

@@ -30,15 +30,17 @@
 //! [`Runtime::try_run`]'s result vector, and every other task — including
 //! ones queued behind it — completes normally.  The infallible
 //! [`Runtime::map`] panics if any task failed, but only after the whole
-//! batch has drained, so a sweep is never half-executed.  [`RunPolicy`] adds
-//! an optional per-task deadline and an optional batch-wide [`CancelToken`]:
-//! the isolation boundary installs a per-task child token ambiently
-//! ([`bsg_uarch::cancel`]), the executor's bounded dispatch loop polls it,
-//! and a runaway task is therefore *preempted* mid-execution — the overrun
-//! still surfaces deterministically as `Err(BsgError::DeadlineExceeded)` in
-//! the task's submission slot, but now promptly instead of whenever the
-//! closure happened to finish.  Closures that never enter the executor
-//! (pure host code) fall back to the historical completion-time check.
+//! batch has drained, so a sweep is never half-executed.
+//!
+//! A per-task deadline ([`Runtime::with_deadline`]) is the scheduler's only
+//! failure policy: the isolation boundary installs a per-task
+//! [`CancelToken`] ambiently ([`bsg_uarch::cancel`]), the executor's bounded
+//! dispatch loop polls it, and a runaway task is therefore *preempted*
+//! mid-execution — the overrun surfaces deterministically as
+//! `Err(BsgError::DeadlineExceeded)` in the task's submission slot,
+//! promptly instead of whenever the closure happened to finish.  Closures
+//! that never enter the executor (pure host code) fall back to a
+//! completion-time check.
 
 use crate::error::{lock_unpoisoned, panic_message, BsgError, BsgResult};
 use bsg_uarch::cancel::{self, CancelToken};
@@ -111,63 +113,20 @@ pub fn apply_workers_flag(raw: &str) {
     }
 }
 
-/// Per-batch execution policy for [`Runtime::try_run_with`].
-#[derive(Debug, Clone, Default)]
-pub struct RunPolicy {
-    /// Optional per-task wall-clock budget.  The isolation boundary installs
-    /// an ambient [`CancelToken`] carrying this deadline around each task,
-    /// so the executor's dispatch loop **preempts** a task that blows the
-    /// budget mid-execution; the result is deterministically replaced by
-    /// [`BsgError::DeadlineExceeded`] in its submission slot.  Host-code
-    /// phases that never enter the executor are still caught by the
-    /// completion-time check (preemption requires a cooperative poll point).
-    pub deadline: Option<Duration>,
-    /// Optional batch-wide cancellation token.  Each task's ambient token is
-    /// a child of this one, so tripping it (e.g. a draining server) halts
-    /// every in-flight and queued task at its next poll.  Tasks cancelled
-    /// this way (without a deadline) still return their — possibly
-    /// incomplete — values; callers that need an error signal pair the
-    /// token with a deadline.
-    pub cancel: Option<Arc<CancelToken>>,
-}
-
-impl RunPolicy {
-    /// A policy with a per-task deadline.
-    pub fn with_deadline(deadline: Duration) -> Self {
-        RunPolicy {
-            deadline: Some(deadline),
-            cancel: None,
-        }
-    }
-
-    /// Attaches a batch-wide cancellation token (builder style).
-    pub fn cancelled_by(mut self, token: Arc<CancelToken>) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-}
-
-/// Runs one task inside the isolation boundary: a per-task [`CancelToken`]
-/// is installed ambiently (so the executor and the artifact store observe
-/// the deadline / batch cancellation), panics are caught and converted, and
-/// the deadline is re-checked at completion for host-code overruns the
-/// executor never had a chance to preempt.
-fn run_isolated<R>(task: impl FnOnce() -> R, policy: &RunPolicy) -> BsgResult<R> {
+/// Runs one task inside the isolation boundary: under a deadline a
+/// per-task [`CancelToken`] is installed ambiently (so the executor and the
+/// artifact store observe it), panics are caught and converted, and the
+/// deadline is re-checked at completion for host-code overruns the executor
+/// never had a chance to preempt.
+fn run_isolated<R>(task: impl FnOnce() -> R, deadline: Option<Duration>) -> BsgResult<R> {
     let start = Instant::now();
-    let _ambient = match (&policy.cancel, policy.deadline) {
-        (None, None) => None,
-        (Some(parent), budget) => Some(cancel::install(Arc::new(
-            CancelToken::child_with_deadline(parent, budget),
-        ))),
-        (None, Some(budget)) => Some(cancel::install(Arc::new(CancelToken::with_deadline(
-            budget,
-        )))),
-    };
+    let _ambient =
+        deadline.map(|budget| cancel::install(Arc::new(CancelToken::with_deadline(budget))));
     match catch_unwind(AssertUnwindSafe(task)) {
         Err(payload) => Err(BsgError::TaskPanic {
             message: panic_message(payload.as_ref()),
         }),
-        Ok(value) => match policy.deadline {
+        Ok(value) => match deadline {
             Some(deadline) if start.elapsed() > deadline => Err(BsgError::DeadlineExceeded {
                 elapsed_ms: start.elapsed().as_millis() as u64,
                 deadline_ms: deadline.as_millis() as u64,
@@ -180,18 +139,35 @@ fn run_isolated<R>(task: impl FnOnce() -> R, policy: &RunPolicy) -> BsgResult<R>
 /// A task scheduler with a fixed worker budget: each batch is one shared
 /// queue that the workers drain in submission order.
 ///
-/// The `Runtime` itself is cheap (a worker count); threads are scoped to each
-/// batch so tasks may borrow from the caller's stack.
+/// The `Runtime` itself is cheap (a worker count and an optional per-task
+/// deadline); threads are scoped to each batch so tasks may borrow from the
+/// caller's stack.
 #[derive(Debug, Clone, Copy)]
 pub struct Runtime {
     workers: usize,
+    deadline: Option<Duration>,
 }
 
 impl Runtime {
-    /// A runtime with exactly `workers` workers (clamped to at least 1).
+    /// A runtime with exactly `workers` workers (clamped to at least 1) and
+    /// no deadline.
     pub fn new(workers: usize) -> Self {
         Runtime {
             workers: workers.max(1),
+            deadline: None,
+        }
+    }
+
+    /// This runtime with a per-task wall-clock budget.  Each task runs under
+    /// an ambient [`CancelToken`] carrying the deadline, so the executor's
+    /// dispatch loop **preempts** a task that blows it mid-execution, and
+    /// the task's result is replaced by [`BsgError::DeadlineExceeded`] in
+    /// its submission slot.  Host code that never enters the executor is
+    /// caught by a completion-time check (preemption needs a poll point).
+    pub fn with_deadline(self, deadline: Duration) -> Runtime {
+        Runtime {
+            deadline: Some(deadline),
+            ..self
         }
     }
 
@@ -249,22 +225,12 @@ impl Runtime {
         R: Send,
         F: FnOnce() -> R + Send,
     {
-        self.try_run_with(tasks, RunPolicy::default())
-    }
-
-    /// [`try_run`](Runtime::try_run) under an explicit [`RunPolicy`]
-    /// (currently: an optional per-task deadline).
-    pub fn try_run_with<R, F>(&self, tasks: Vec<F>, policy: RunPolicy) -> Vec<BsgResult<R>>
-    where
-        R: Send,
-        F: FnOnce() -> R + Send,
-    {
         let n = tasks.len();
         let workers = self.workers.min(n);
         if workers <= 1 || IN_WORKER.with(Cell::get) {
             return tasks
                 .into_iter()
-                .map(|task| run_isolated(task, &policy))
+                .map(|task| run_isolated(task, self.deadline))
                 .collect();
         }
 
@@ -284,7 +250,7 @@ impl Runtime {
                         loop {
                             let next = lock_unpoisoned(&queue).next();
                             let Some((i, task)) = next else { break out };
-                            out.push((i, run_isolated(task, &policy)));
+                            out.push((i, run_isolated(task, self.deadline)));
                         }
                     })
                 })
@@ -527,16 +493,15 @@ mod tests {
         // would hang here forever.
         let image = infinite_loop_image();
         let started = Instant::now();
-        let results = Runtime::new(2).try_run_with(
-            vec![move || {
+        let results = Runtime::new(2)
+            .with_deadline(Duration::from_millis(50))
+            .try_run(vec![move || {
                 bsg_uarch::exec::execute_image(
                     &image,
                     &mut bsg_uarch::exec::NullObserver,
                     &bsg_uarch::ExecConfig::default(),
                 )
-            }],
-            RunPolicy::with_deadline(Duration::from_millis(50)),
-        );
+            }]);
         let elapsed = started.elapsed();
         match &results[0] {
             Err(BsgError::DeadlineExceeded { deadline_ms, .. }) => {
@@ -551,52 +516,21 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_wide_cancel_token_halts_queued_executor_tasks() {
-        let token = Arc::new(CancelToken::new());
-        token.cancel(); // already tripped: every task halts at its first poll
-        let images: Vec<_> = (0..4).map(|_| infinite_loop_image()).collect();
-        let started = Instant::now();
-        let results = Runtime::new(2).try_run_with(
-            images
-                .into_iter()
-                .map(|image| {
-                    move || {
-                        bsg_uarch::exec::execute_image(
-                            &image,
-                            &mut bsg_uarch::exec::NullObserver,
-                            &bsg_uarch::ExecConfig::default(),
-                        )
-                        .completed
-                    }
-                })
-                .collect::<Vec<_>>(),
-            RunPolicy::default().cancelled_by(token),
-        );
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "cancelled tasks must halt promptly"
-        );
-        for r in results {
-            assert_eq!(r, Ok(false), "each loop halted without completing");
-        }
-    }
-
-    #[test]
     fn deadline_overruns_become_errors_without_disturbing_fast_tasks() {
-        let policy = RunPolicy::with_deadline(Duration::from_millis(20));
-        let results = Runtime::new(2).try_run_with(
-            (0..8u64)
-                .map(|i| {
-                    move || {
-                        if i == 3 {
-                            std::thread::sleep(Duration::from_millis(60));
+        let results = Runtime::new(2)
+            .with_deadline(Duration::from_millis(20))
+            .try_run(
+                (0..8u64)
+                    .map(|i| {
+                        move || {
+                            if i == 3 {
+                                std::thread::sleep(Duration::from_millis(60));
+                            }
+                            i
                         }
-                        i
-                    }
-                })
-                .collect::<Vec<_>>(),
-            policy,
-        );
+                    })
+                    .collect::<Vec<_>>(),
+            );
         for (i, r) in results.iter().enumerate() {
             if i == 3 {
                 assert!(

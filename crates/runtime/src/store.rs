@@ -26,17 +26,19 @@
 //! # Fault recovery
 //!
 //! A build can fail (the builder returns an error) or die (the builder
-//! panics; caught at the slot boundary).  Either way the slot transitions
-//! out of `building`, every concurrent waiter is woken with a cloned
-//! [`BsgError::BuildFailed`], and the *next* request for the key may retry
-//! — with exponential backoff, up to [`MAX_BUILD_ATTEMPTS`] total attempts
-//! — because transient causes (disk pressure during a dependency load, an
-//! OOM-killed helper) deserve another shot.  Once the attempt budget is
-//! exhausted the error is memoized (`failed` is terminal) and served to
-//! every later request immediately: one poisoned key costs its own sweeps
+//! panics; caught at the slot boundary).  Either way the failure is final:
+//! every builder (compile, profile, C emission, synthesis) is a pure
+//! function of its key, and the disk tier already turns every disk fault
+//! into a miss, so running the builder again could only repeat the same
+//! failure.  The slot moves to `failed`, every concurrent waiter is woken
+//! with a clone of the same [`BsgError::BuildFailed`], and every later
+//! request receives it immediately: one poisoned key costs its own sweeps
 //! an `Err`, never a hang, and never affects other keys.  (The pre-PR-6
 //! implementation used a per-key `OnceLock`, which a panicking builder left
-//! unset forever — deadlocking every waiter.)
+//! unset forever — deadlocking every waiter.)  The one non-final outcome is
+//! a build *preempted* by its caller's deadline: its result may be
+//! truncated, so it is discarded and the slot returns to `idle` for the
+//! next request.
 
 use crate::disk::{DiskCache, DiskStats, KindStats, KINDS};
 use crate::error::{lock_unpoisoned, panic_message, wait_unpoisoned, BsgError, BsgResult};
@@ -55,16 +57,6 @@ use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
-
-/// Total build attempts per key before the failure is memoized as terminal.
-pub const MAX_BUILD_ATTEMPTS: u32 = 3;
-
-/// Base of the exponential retry backoff (attempt 2 waits one unit, attempt
-/// 3 two units, ...).  Kept small: artifact builds are CPU-bound, so the
-/// backoff exists to let transient *environmental* causes clear, not to
-/// rate-limit a service.
-const RETRY_BACKOFF: Duration = Duration::from_millis(10);
 
 const FNV128_BASIS: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
@@ -133,18 +125,14 @@ pub struct CompiledArtifact {
 
 /// The lifecycle of one cache slot (see the module docs on fault recovery).
 enum SlotState<V> {
-    /// No builder is active.  `attempts` counts failed builds so far; a new
-    /// request may claim the slot and (re)try.
-    Idle {
-        /// Failed attempts so far.
-        attempts: u32,
-    },
-    /// A builder is running; requests wait on the slot's condvar.  (The
-    /// builder carries its own attempt count; waiters never need it.)
+    /// No builder is active (never built, or the last build was preempted);
+    /// the next request claims the slot and builds.
+    Idle,
+    /// A builder is running; requests wait on the slot's condvar.
     Building,
     /// The artifact is available; terminal.
     Done(Arc<V>),
-    /// The attempt budget is exhausted; terminal.  Every present and future
+    /// The build failed or panicked; terminal.  Every present and future
     /// request receives a clone of this error immediately.
     Failed(BsgError),
 }
@@ -158,7 +146,7 @@ struct Slot<V> {
 impl<V> Default for Slot<V> {
     fn default() -> Self {
         Slot {
-            state: Mutex::new(SlotState::Idle { attempts: 0 }),
+            state: Mutex::new(SlotState::Idle),
             ready: Condvar::new(),
         }
     }
@@ -209,28 +197,21 @@ impl<K: Eq + Hash + Clone, V> Table<K, V> {
                 }
                 SlotState::Failed(error) => return Err(error.clone()),
                 SlotState::Building => guard = wait_unpoisoned(&slot.ready, guard),
-                SlotState::Idle { attempts } => {
-                    let attempts = *attempts;
+                SlotState::Idle => {
                     *guard = SlotState::Building;
                     drop(guard);
-                    if attempts > 0 {
-                        // Bounded exponential backoff before a retry, run
-                        // outside the lock (waiters see `Building`).
-                        std::thread::sleep(RETRY_BACKOFF * (1 << (attempts - 1)));
-                    }
                     let outcome = catch_unwind(AssertUnwindSafe(init));
-                    // A build preempted by the ambient cancellation token
-                    // (deadline blown or batch cancelled mid-build) may have
+                    // A build preempted by the caller's deadline may have
                     // produced a *truncated* artifact — the executor halts
                     // cooperatively without an error — so the result is not
                     // trustworthy: it must be neither memoized nor counted
-                    // against the key's retry budget.  The slot returns to
-                    // `Idle` with `attempts` unchanged; woken waiters
-                    // re-claim and rebuild under their own (untripped)
-                    // tokens, and only the preempted caller pays.
+                    // as a failure.  The slot returns to `Idle`; woken
+                    // waiters re-claim and rebuild under their own
+                    // (untripped) deadlines, and only the preempted caller
+                    // pays.
                     if let Some(error) = build_was_preempted() {
                         let mut guard = lock_unpoisoned(&slot.state);
-                        *guard = SlotState::Idle { attempts };
+                        *guard = SlotState::Idle;
                         slot.ready.notify_all();
                         return Err(error);
                     }
@@ -254,19 +235,9 @@ impl<K: Eq + Hash + Clone, V> Table<K, V> {
                     let error = BsgError::BuildFailed {
                         kind,
                         key: file_key.to_string(),
-                        attempts: attempts + 1,
                         message,
                     };
-                    *guard = if attempts + 1 >= MAX_BUILD_ATTEMPTS {
-                        SlotState::Failed(error.clone())
-                    } else {
-                        SlotState::Idle {
-                            attempts: attempts + 1,
-                        }
-                    };
-                    // Wake every waiter: under `Failed` they return the
-                    // memoized error; under `Idle` the first one claims the
-                    // retry with its own initializer.
+                    *guard = SlotState::Failed(error.clone());
                     slot.ready.notify_all();
                     return Err(error);
                 }
@@ -319,7 +290,7 @@ fn build_was_preempted() -> Option<BsgError> {
     if token.is_cancelled() {
         Some(BsgError::DeadlineExceeded {
             elapsed_ms: token.elapsed_ms(),
-            deadline_ms: token.deadline_ms().unwrap_or(0),
+            deadline_ms: token.deadline_ms(),
         })
     } else {
         None
@@ -346,7 +317,7 @@ pub struct StoreStats {
     pub synthesis_builds: u64,
     /// Cache hits on synthesis results.
     pub synthesis_hits: u64,
-    /// Failed build attempts across all tables (each retry counts once).
+    /// Failed builds across all tables.
     pub build_failures: u64,
     /// Disk-tier counters (zero when the disk tier is disabled).
     pub disk: DiskStats,
@@ -667,6 +638,7 @@ mod tests {
     use bsg_compiler::{OptLevel, TargetIsa};
     use bsg_ir::build::FunctionBuilder;
     use bsg_ir::hll::Expr;
+    use std::time::{Duration, Instant};
 
     fn tiny_program(iters: i64) -> HllProgram {
         let mut f = FunctionBuilder::new("main");
@@ -789,62 +761,42 @@ mod tests {
         assert_eq!(stats.build_failures, 0, "{stats}");
     }
 
-    /// The retry path under the same herd: a builder that fails its first
-    /// two attempts and then succeeds must count each failed attempt exactly
-    /// once (no double-count when a failure releases a crowd of waiters) and
-    /// still end at one successful build.  Which requests surface the two
-    /// errors is scheduling-dependent; the *totals* are not.
+    /// The failure path under the same herd: a builder that always fails
+    /// runs once, counts one failure (no double-count when the failure
+    /// releases a crowd of waiters), and every request gets the same error.
     #[test]
-    fn concurrent_retries_never_double_count_build_failures() {
+    fn a_herd_on_a_failing_key_runs_one_build_and_counts_one_failure() {
         const HERD: usize = 16;
-        const FAILS: u64 = (MAX_BUILD_ATTEMPTS - 1) as u64;
-        let table: std::sync::Arc<Table<u32, u32>> = std::sync::Arc::new(Table::new());
+        let table: Table<u32, u32> = Table::new();
         let key_id = SourceId::of(&11u64);
-        let calls = std::sync::Arc::new(AtomicU64::new(0));
-        let barrier = std::sync::Arc::new(std::sync::Barrier::new(HERD));
-        let outcomes: Vec<Result<u32, crate::BsgError>> = std::thread::scope(|s| {
+        let calls = AtomicU64::new(0);
+        let barrier = std::sync::Barrier::new(HERD);
+        let outcomes: Vec<BsgResult<Arc<u32>>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..HERD)
                 .map(|_| {
-                    let table = table.clone();
-                    let calls = calls.clone();
-                    let barrier = barrier.clone();
-                    s.spawn(move || {
+                    s.spawn(|| {
                         barrier.wait();
-                        table
-                            .get_or_try_init("compiled", key_id, 11, || {
-                                if calls.fetch_add(1, Ordering::Relaxed) < FAILS {
-                                    Err("transient failure".to_string())
-                                } else {
-                                    Ok((42, true))
-                                }
-                            })
-                            .map(|v| *v)
+                        table.get_or_try_init("compiled", key_id, 11, || {
+                            calls.fetch_add(1, Ordering::Relaxed);
+                            Err("deterministic failure".to_string())
+                        })
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(table.failures.load(Ordering::Relaxed), FAILS);
-        assert_eq!(table.builds.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            FAILS + 1,
-            "builder ran per attempt"
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "the builder ran once");
+        assert_eq!(table.failures.load(Ordering::Relaxed), 1);
+        assert_eq!(table.builds.load(Ordering::Relaxed), 0);
+        assert_eq!(table.hits.load(Ordering::Relaxed), 0);
+        let first = outcomes[0].clone().unwrap_err();
+        assert!(
+            matches!(&first, BsgError::BuildFailed { message, .. } if message == "deterministic failure"),
+            "{first}"
         );
-        let errs = outcomes.iter().filter(|r| r.is_err()).count();
-        let oks = outcomes.iter().filter(|r| r.is_ok()).count();
-        // A pre-terminal failure is surfaced only by the request that
-        // claimed the slot (waiters re-loop and retry), so the error count
-        // is exact — not merely bounded — no matter how the herd schedules.
-        assert_eq!(errs as u64, FAILS);
-        assert_eq!(errs + oks, HERD);
-        assert!(outcomes.iter().all(|r| !matches!(r, Ok(v) if *v != 42)));
-        // Everyone else either built the value (1) or hit the memo.
-        let hits = table.hits.load(Ordering::Relaxed);
-        assert_eq!(
-            hits + FAILS + 1,
-            HERD as u64,
-            "every request resolved exactly once: hit, winning build, or claimed failure"
+        assert!(
+            outcomes.iter().all(|r| r.as_ref().err() == Some(&first)),
+            "every request in the herd got the same error"
         );
     }
 
@@ -988,35 +940,32 @@ mod tests {
     }
 
     #[test]
-    fn failed_builds_return_errors_and_memoize_after_the_attempt_budget() {
+    fn a_failed_build_is_final_on_its_first_failure() {
         let store = ArtifactStore::new();
         let hll = uncompilable_program();
         let opts = CompileOptions::new(OptLevel::O0, TargetIsa::X86);
-        // Every request gets an Err; attempts advance until the budget is
-        // exhausted, after which the memoized error (with the final attempt
-        // count) is served without re-running the builder.
-        for expect_attempts in 1..=MAX_BUILD_ATTEMPTS + 2 {
-            let err = store.try_compiled(&hll, &opts).unwrap_err();
-            match err {
-                crate::BsgError::BuildFailed {
-                    kind,
-                    attempts,
-                    ref message,
-                    ..
-                } => {
-                    assert_eq!(kind, "compiled");
-                    assert_eq!(attempts, expect_attempts.min(MAX_BUILD_ATTEMPTS));
-                    assert!(message.contains("no_such_function"), "{message}");
-                }
-                other => panic!("expected BuildFailed, got {other}"),
+        let started = Instant::now();
+        let errors: Vec<BsgError> = (0..5)
+            .map(|_| store.try_compiled(&hll, &opts).unwrap_err())
+            .collect();
+        let elapsed = started.elapsed();
+        match &errors[0] {
+            BsgError::BuildFailed { kind, message, .. } => {
+                assert_eq!(*kind, "compiled");
+                assert!(message.contains("no_such_function"), "{message}");
             }
+            other => panic!("expected BuildFailed, got {other}"),
         }
+        assert!(
+            errors.iter().all(|e| *e == errors[0]),
+            "every request got the same memoized error"
+        );
         let stats = store.stats();
         assert_eq!(stats.compiled_builds, 0, "no successful build");
-        assert_eq!(
-            stats.build_failures,
-            u64::from(MAX_BUILD_ATTEMPTS),
-            "builder ran exactly MAX_BUILD_ATTEMPTS times, then the memo served"
+        assert_eq!(stats.build_failures, 1, "the builder ran once: {stats}");
+        assert!(
+            elapsed < Duration::from_millis(10),
+            "no retry and no backoff sleep: took {elapsed:?}"
         );
     }
 
@@ -1054,50 +1003,53 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_builder_releases_waiters_and_allows_retry() {
-        // Exercise the slot machine directly with a builder that panics
-        // twice and then succeeds: the first two requests see BuildFailed
-        // (with the panic message), the third builds, and later requests
-        // hit the memoized value.
+    fn a_panicking_builder_releases_waiters_with_its_error() {
+        // The builder panics while other requests wait on its slot: every
+        // waiter is woken with the memoized error, and a later request gets
+        // it too without running its own builder.
         let table: Table<u32, u32> = Table::new();
         let key_id = SourceId::of(&7u64);
         let calls = AtomicU64::new(0);
-        for attempt in 1..=2u32 {
-            let result = table.get_or_try_init("compiled", key_id, 7, || {
-                calls.fetch_add(1, Ordering::Relaxed);
-                panic!("flaky builder dies (attempt {attempt})");
-            });
-            match result {
-                Err(crate::BsgError::BuildFailed {
-                    attempts, message, ..
-                }) => {
-                    assert_eq!(attempts, attempt);
-                    assert!(message.contains("flaky builder dies"), "{message}");
+        let started = std::sync::Barrier::new(2);
+        let request = || {
+            table.get_or_try_init("compiled", key_id, 7, || {
+                if calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                    started.wait();
                 }
-                other => panic!("expected BuildFailed, got {other:?}"),
-            }
-        }
-        let value = table.get_or_try_init("compiled", key_id, 7, || {
+                std::thread::sleep(Duration::from_millis(50));
+                panic!("builder dies");
+            })
+        };
+        let outcomes: Vec<BsgResult<Arc<u32>>> = std::thread::scope(|s| {
+            let builder = s.spawn(request);
+            started.wait();
+            let waiters: Vec<_> = (0..4).map(|_| s.spawn(request)).collect();
+            std::iter::once(builder)
+                .chain(waiters)
+                .map(|h| h.join().unwrap())
+                .collect()
+        });
+        let later = table.get_or_try_init("compiled", key_id, 7, || {
             calls.fetch_add(1, Ordering::Relaxed);
             Ok((99, true))
         });
-        assert_eq!(value.as_deref(), Ok(&99), "third attempt succeeds");
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
-        let again = table.get_or_try_init("compiled", key_id, 7, || {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Ok((0, true))
-        });
-        assert_eq!(again.as_deref(), Ok(&99), "memoized after success");
-        assert_eq!(calls.load(Ordering::Relaxed), 3, "no rebuild after Done");
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "one builder run");
+        let first = outcomes[0].clone().unwrap_err();
+        assert!(
+            matches!(&first, BsgError::BuildFailed { message, .. } if message.contains("builder dies")),
+            "{first}"
+        );
+        for outcome in outcomes.iter().chain([&later]) {
+            assert_eq!(outcome.as_ref().err(), Some(&first));
+        }
     }
 
-    /// PR-10 regression: a build running under a tripped cancellation token
-    /// may have been halted mid-execution, so its (possibly truncated)
-    /// result must be discarded — not memoized, not written to disk, not
-    /// counted as a failed attempt — and the key must rebuild cleanly for
-    /// the next (uncancelled) request.
+    /// Regression: a build running under a tripped deadline may have
+    /// been halted mid-execution, so its (possibly truncated) result must be
+    /// discarded — not memoized, not written to disk, not counted as a
+    /// failure — and the key must rebuild cleanly for the next request.
     #[test]
-    fn a_preempted_build_is_not_memoized_and_does_not_burn_attempts() {
+    fn a_preempted_build_is_neither_memoized_nor_counted_as_a_failure() {
         let table: Table<u32, u32> = Table::new();
         let key_id = SourceId::of(&3u64);
         let calls = AtomicU64::new(0);

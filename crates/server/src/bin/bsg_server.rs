@@ -3,8 +3,8 @@
 //! The bsg-server daemon binary.
 //!
 //! ```text
-//! bsg-server [--tcp ADDR] [--unix PATH] [--workers N] [--batch-max N]
-//!            [--queue-max N] [--request-deadline-ms N] [--io-timeout-ms N]
+//! bsg-server [--tcp ADDR] [--unix PATH] [--workers N] [--queue-max N]
+//!            [--request-deadline-ms N] [--io-timeout-ms N]
 //! ```
 //!
 //! Defaults to `--tcp 127.0.0.1:0` (an OS-assigned port).  Prints one
@@ -57,12 +57,6 @@ fn main() -> ExitCode {
         bsg_runtime::apply_workers_flag(raw);
     }
     let mut config = ServerConfig::default();
-    if let Some(raw) = flag_value(&args, "--batch-max") {
-        match raw.parse::<usize>() {
-            Ok(n) if n > 0 => config.batch_max = n,
-            _ => eprintln!("warning: ignoring --batch-max {raw:?} (want a positive integer)"),
-        }
-    }
     if let Some(raw) = flag_value(&args, "--queue-max") {
         match raw.parse::<usize>() {
             Ok(n) if n > 0 => config.queue_max = n,

@@ -3,10 +3,10 @@
 //!
 //! # Timeouts and retries (PR 10)
 //!
-//! The socket constructors arm connect/read/write timeouts (defaults
-//! overridable via `BSG_CLIENT_CONNECT_TIMEOUT_MS` and
-//! `BSG_CLIENT_READ_TIMEOUT_MS`), so a hung or drained server surfaces as
-//! [`ClientError::TimedOut`] instead of blocking the caller forever.
+//! The socket constructors arm connect/read/write timeouts
+//! ([`DEFAULT_CONNECT_TIMEOUT`], [`DEFAULT_READ_TIMEOUT`]), so a hung or
+//! drained server surfaces as [`ClientError::TimedOut`] instead of
+//! blocking the caller forever.
 //!
 //! [`Client::call_with_retry`] layers bounded exponential backoff with
 //! deterministic jitter on top of [`Client::call`] — but **only** for
@@ -30,31 +30,10 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
-/// Default connect timeout; override with `BSG_CLIENT_CONNECT_TIMEOUT_MS`.
+/// Connect timeout of [`Client::connect_tcp`].
 pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
-/// Default read/write timeout; override with `BSG_CLIENT_READ_TIMEOUT_MS`.
+/// Read/write timeout of the socket constructors.
 pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(60);
-
-fn env_timeout(var: &str, default: Duration) -> Duration {
-    match std::env::var(var) {
-        Ok(v) => v
-            .trim()
-            .parse::<u64>()
-            .map(Duration::from_millis)
-            .unwrap_or(default),
-        Err(_) => default,
-    }
-}
-
-/// The connect timeout in effect (env override or default).
-pub fn connect_timeout() -> Duration {
-    env_timeout("BSG_CLIENT_CONNECT_TIMEOUT_MS", DEFAULT_CONNECT_TIMEOUT)
-}
-
-/// The read/write timeout in effect (env override or default).
-pub fn read_timeout() -> Duration {
-    env_timeout("BSG_CLIENT_READ_TIMEOUT_MS", DEFAULT_READ_TIMEOUT)
-}
 
 /// Why a call failed at the transport layer (as opposed to the request
 /// failing server-side, which [`Client::call`] reports as `Ok(Err(_))`).
@@ -178,11 +157,10 @@ impl Client<TcpStream> {
     pub fn connect_tcp(addr: &str) -> io::Result<Self> {
         let mut last = io::Error::new(io::ErrorKind::InvalidInput, "address did not resolve");
         for resolved in std::net::ToSocketAddrs::to_socket_addrs(addr)? {
-            match TcpStream::connect_timeout(&resolved, connect_timeout()) {
+            match TcpStream::connect_timeout(&resolved, DEFAULT_CONNECT_TIMEOUT) {
                 Ok(stream) => {
-                    let io = read_timeout();
-                    stream.set_read_timeout(Some(io))?;
-                    stream.set_write_timeout(Some(io))?;
+                    stream.set_read_timeout(Some(DEFAULT_READ_TIMEOUT))?;
+                    stream.set_write_timeout(Some(DEFAULT_READ_TIMEOUT))?;
                     return Ok(Client::over(stream));
                 }
                 Err(e) => last = e,
@@ -199,9 +177,8 @@ impl Client<UnixStream> {
     /// succeed or fail immediately.)
     pub fn connect_unix(path: &Path) -> io::Result<Self> {
         let stream = UnixStream::connect(path)?;
-        let io = read_timeout();
-        stream.set_read_timeout(Some(io))?;
-        stream.set_write_timeout(Some(io))?;
+        stream.set_read_timeout(Some(DEFAULT_READ_TIMEOUT))?;
+        stream.set_write_timeout(Some(DEFAULT_READ_TIMEOUT))?;
         Ok(Client::over(stream))
     }
 }

@@ -47,8 +47,9 @@ pub const MAGIC: [u8; 4] = *b"BSGW";
 /// Current protocol version.  Bumped on any incompatible frame or payload
 /// change; both sides reject mismatches with [`FrameError::VersionSkew`].
 /// (v2: overload-safety fields in [`ServerStats`] and the
-/// [`KIND_SHUTDOWN`] drain request.)
-pub const PROTO_VERSION: u32 = 2;
+/// [`KIND_SHUTDOWN`] drain request; v3: `BsgError::BuildFailed` without its
+/// attempt count.)
+pub const PROTO_VERSION: u32 = 3;
 /// Header length in bytes (magic + version + request id + kind + payload
 /// length + checksum).
 pub const HEADER_LEN: usize = 33;

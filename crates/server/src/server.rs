@@ -9,13 +9,12 @@
 //! request/reply per connection, so a client's own pipeline depth is its
 //! concurrency limit and a slow request cannot starve the reader of its
 //! own connection.  Decoded requests are sent to a single dispatcher
-//! thread over a channel; the dispatcher drains up to
-//! [`ServerConfig::batch_max`] queued requests at a time and runs the
-//! batch through [`Runtime::try_run`], so concurrent clients share the
-//! scheduler's one task queue instead of each spawning threads.  `try_run`'s
-//! per-task fault isolation means one poisoned request (panicking build,
-//! injected `BSG_FAULT` chaos) costs exactly its own reply — the rest of
-//! the batch completes normally.
+//! thread over a channel; the dispatcher drains up to 64 queued requests
+//! at a time and runs the batch through [`Runtime::try_run`], so
+//! concurrent clients share the scheduler's one task queue instead of each
+//! spawning threads.  `try_run`'s per-task fault isolation means one
+//! poisoned request (panicking build, injected `BSG_FAULT` chaos) costs
+//! exactly its own reply — the rest of the batch completes normally.
 //!
 //! [`Request::Stats`] is served inline on the reader thread, bypassing the
 //! batch entirely: it only snapshots atomic counters, and keeping it off
@@ -33,8 +32,8 @@
 //!   [`BsgError::Overloaded`] reply (connection stays open; the error is
 //!   explicitly retryable).
 //! - **Per-request deadlines.**  [`ServerConfig::request_deadline`] runs
-//!   every batch under `RunPolicy::with_deadline`, so a runaway request is
-//!   *preempted* by the scheduler's cancellation token and replied with
+//!   every batch on [`Runtime::with_deadline`], so a runaway request is
+//!   *preempted* by its deadline token and replied with
 //!   `DeadlineExceeded` instead of pinning a worker.
 //! - **Slow-loris defense.**  Connections carry read/write timeouts
 //!   ([`ServerConfig::io_timeout`]).  A peer idle *between* frames just
@@ -55,7 +54,7 @@ use crate::proto::{
     err_frame, ok_frame, read_frame, write_frame, Frame, FrameError, Request, Response, ServerStats,
 };
 use bsg_bench::{figure_spec, render_figure, try_render_report};
-use bsg_runtime::{BsgError, BsgResult, RunPolicy, Runtime};
+use bsg_runtime::{BsgError, BsgResult, Runtime};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
@@ -67,13 +66,14 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
+/// Maximum requests the dispatcher folds into one scheduler batch.  Larger
+/// batches amortize scheduler entry; the bound keeps one burst from
+/// monopolizing the scheduler for unboundedly long.
+const BATCH_MAX: usize = 64;
+
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Maximum requests the dispatcher folds into one scheduler batch.
-    /// Larger batches amortize scheduler entry; the bound keeps one
-    /// burst from monopolizing the scheduler for unboundedly long.
-    pub batch_max: usize,
     /// Admission limit: jobs admitted but not yet dispatched.  Requests
     /// beyond it are shed with [`BsgError::Overloaded`] instead of growing
     /// the queue (and client-observed latency) without bound.
@@ -91,7 +91,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            batch_max: 64,
             queue_max: 256,
             request_deadline: None,
             io_timeout: Some(Duration::from_secs(30)),
@@ -310,9 +309,8 @@ fn start(
 
     let dispatcher = {
         let shared = Arc::clone(&shared);
-        let batch_max = config.batch_max.max(1);
         let deadline = config.request_deadline;
-        thread::spawn(move || dispatch_loop(&jobs_rx, &shared, batch_max, deadline))
+        thread::spawn(move || dispatch_loop(&jobs_rx, &shared, deadline))
     };
 
     let accept = {
@@ -353,12 +351,11 @@ fn start(
 /// The dispatcher: drains queued jobs into bounded batches and runs each
 /// batch through the scheduler with per-task fault isolation and, when
 /// configured, a per-task preemption deadline.
-fn dispatch_loop(
-    jobs: &mpsc::Receiver<Job>,
-    shared: &Shared,
-    batch_max: usize,
-    deadline: Option<Duration>,
-) {
+fn dispatch_loop(jobs: &mpsc::Receiver<Job>, shared: &Shared, deadline: Option<Duration>) {
+    let runtime = match deadline {
+        Some(budget) => Runtime::global().with_deadline(budget),
+        None => *Runtime::global(),
+    };
     loop {
         let first = match jobs.recv_timeout(Duration::from_millis(50)) {
             Ok(job) => job,
@@ -371,14 +368,14 @@ fn dispatch_loop(
             Err(mpsc::RecvTimeoutError::Disconnected) => return,
         };
         let mut batch = vec![first];
-        while batch.len() < batch_max {
+        while batch.len() < BATCH_MAX {
             match jobs.try_recv() {
                 Ok(job) => batch.push(job),
                 Err(_) => break,
             }
         }
         // Free the admission slots as soon as the jobs leave the queue:
-        // in-flight work is bounded by batch_max, the queue by queue_max,
+        // in-flight work is bounded by BATCH_MAX, the queue by queue_max,
         // and the two bounds are independent.
         shared
             .queue_depth
@@ -394,13 +391,9 @@ fn dispatch_loop(
         // try_run catches per-task panics, so one poisoned request (a
         // panicking build, injected chaos) yields one Err reply while the
         // rest of the batch completes; the outer/inner results flatten.
-        // The deadline policy installs a per-task cancellation token, so a
-        // runaway request is preempted mid-execution, not just failed at
-        // completion time.
-        let results = match deadline {
-            Some(budget) => Runtime::global().try_run_with(tasks, RunPolicy::with_deadline(budget)),
-            None => Runtime::global().try_run(tasks),
-        };
+        // A deadline installs a per-task token, so a runaway request is
+        // preempted mid-execution, not just failed at completion time.
+        let results = runtime.try_run(tasks);
         for (result, reply) in results.into_iter().zip(replies) {
             shared.requests_served.fetch_add(1, Ordering::Relaxed);
             let flat = result.and_then(|r| r);

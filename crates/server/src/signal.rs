@@ -51,7 +51,7 @@ extern "C" fn on_term_signal(_signum: i32) {
     TERM_FLAG.store(true, Ordering::Relaxed);
 }
 
-/// Registers [`on_term_signal`] for `SIGTERM` and `SIGINT`.  Idempotent;
+/// Registers `on_term_signal` for `SIGTERM` and `SIGINT`.  Idempotent;
 /// call once from the daemon's `main` before serving.
 // The crate root carries #![deny(unsafe_code)]; this function is the one
 // audited exception (see the ledger tag inside).

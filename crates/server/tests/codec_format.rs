@@ -63,7 +63,6 @@ fn errors() -> Vec<BsgError> {
         BsgError::BuildFailed {
             kind: "profile",
             key: "00ff".into(),
-            attempts: 3,
             message: "compile failed".into(),
         },
         BsgError::Io {
@@ -272,7 +271,7 @@ const PINNED: &[(&str, &str)] = &[
     ("profile fft/small", "1e998a97291c257a76d08a7a64db4989"),
     ("synthesis fft/small", "0a855c38b2713289eed05c77df2ddc4b"),
     ("error 0", "ba35f025f11feb9d7b0620b6fb09576c"),
-    ("error 1", "b7a98cd8c769cfe78c15fa4863d1dcef"),
+    ("error 1", "77c4875e7a47c9aa9a778730f5052a38"),
     ("error 2", "1871428b9d66dbc7a0c8c6acf900628a"),
     ("error 3", "97d51426d1ee0d648f3e39484c3d4fb0"),
     ("error 4", "6326344775d56cff6cbe88470d4f30f0"),

@@ -277,7 +277,6 @@ fn a_stopped_server_yields_structured_client_errors() {
 fn overload_sheds_are_counted_exactly_and_healthy_work_resumes() {
     use std::time::Duration;
     let config = ServerConfig {
-        batch_max: 1,
         queue_max: 1,
         request_deadline: Some(Duration::from_millis(250)),
         io_timeout: None,
@@ -502,7 +501,6 @@ fn inband_shutdown_drains_queued_work_and_removes_the_socket() {
     use std::time::Duration;
     let path = std::env::temp_dir().join(format!("bsg-e2e-drain-{}.sock", std::process::id()));
     let config = ServerConfig {
-        batch_max: 1,
         queue_max: 8,
         request_deadline: Some(Duration::from_millis(400)),
         io_timeout: None,

@@ -1,18 +1,18 @@
-//! Cooperative cancellation for the dispatch loop.
+//! Cooperative deadlines for the dispatch loop.
 //!
 //! The scheduler's `DeadlineExceeded` started life as *detection*: the task
 //! ran to completion and the overrun was recorded afterwards, so an
 //! infinite-loop program under a 50 ms budget still pinned a worker forever.
 //! This module makes deadlines *preemptive* without giving the executor any
-//! notion of threads or time policy: a [`CancelToken`] is an atomic flag
-//! plus an optional deadline instant, installed ambiently (thread-local) by
-//! whoever owns the task boundary, and polled by `execute_image`'s bounded
-//! dispatch loop every [`POLL_INTERVAL`] instructions.  When the token
-//! trips, the engine sets its existing `halted` flag and unwinds through the
-//! same sync-out paths an exhausted instruction budget uses, so the outcome
-//! is an ordinary incomplete [`crate::exec::ExecOutcome`] — the scheduler
-//! then converts the (now prompt) overrun into `DeadlineExceeded` exactly as
-//! before.
+//! notion of threads or time policy: a [`CancelToken`] is a task's deadline
+//! (a start instant, a budget and a latch), installed ambiently
+//! (thread-local) by whoever owns the task boundary, and polled by
+//! `execute_image`'s bounded dispatch loop every [`POLL_INTERVAL`]
+//! instructions.  When the deadline passes, the engine sets its existing
+//! `halted` flag and unwinds through the same sync-out paths an exhausted
+//! instruction budget uses, so the outcome is an ordinary incomplete
+//! [`crate::exec::ExecOutcome`] — the scheduler then converts the (now
+//! prompt) overrun into `DeadlineExceeded` exactly as before.
 //!
 //! The unbounded fast path is untouched: with no ambient token and no
 //! instruction budget, `execute_image` still selects the `BOUNDED = false`
@@ -34,72 +34,36 @@ pub const POLL_INTERVAL: u64 = 4096;
 /// POLL_MASK == 0` check.
 pub const POLL_MASK: u64 = POLL_INTERVAL - 1;
 
-/// A shared cancellation token: an explicit flag, an optional wall-clock
-/// deadline, and an optional parent (a batch-wide token that cancels every
-/// per-task child at once).
+/// One task's wall-clock deadline.  It trips once `budget` has passed since
+/// it was created and stays tripped (the latch spares later polls the clock
+/// read).
 #[derive(Debug)]
 pub struct CancelToken {
     cancelled: AtomicBool,
     started: Instant,
-    deadline: Option<Instant>,
-    parent: Option<Arc<CancelToken>>,
+    budget: Duration,
 }
 
 impl CancelToken {
-    /// A token with no deadline; trips only via [`CancelToken::cancel`] (or
-    /// a parent).
-    pub fn new() -> Self {
+    /// A token that trips `budget` from now.
+    pub fn with_deadline(budget: Duration) -> Self {
         CancelToken {
             cancelled: AtomicBool::new(false),
             started: Instant::now(),
-            deadline: None,
-            parent: None,
+            budget,
         }
     }
 
-    /// A token that trips `budget` from now.
-    pub fn with_deadline(budget: Duration) -> Self {
-        let started = Instant::now();
-        CancelToken {
-            cancelled: AtomicBool::new(false),
-            started,
-            deadline: Some(started + budget),
-            parent: None,
-        }
-    }
-
-    /// A child of `parent` with its own deadline `budget` from now: the
-    /// child trips when either its budget expires or the parent cancels.
-    pub fn child_with_deadline(parent: &Arc<CancelToken>, budget: Option<Duration>) -> Self {
-        let started = Instant::now();
-        CancelToken {
-            cancelled: AtomicBool::new(false),
-            started,
-            deadline: budget.map(|b| started + b),
-            parent: Some(Arc::clone(parent)),
-        }
-    }
-
-    /// Trips the token explicitly.  Idempotent, thread-safe, and observed by
-    /// every poller (including children) at their next poll.
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Release);
-    }
-
-    /// Whether the token has tripped: explicitly cancelled, past its
-    /// deadline, or descended from a tripped parent.
+    /// Whether the deadline has passed.
     pub fn is_cancelled(&self) -> bool {
         if self.cancelled.load(Ordering::Acquire) {
             return true;
         }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                // Latch, so later polls skip the clock read.
-                self.cancelled.store(true, Ordering::Release);
-                return true;
-            }
+        if self.started.elapsed() >= self.budget {
+            self.cancelled.store(true, Ordering::Release);
+            return true;
         }
-        self.parent.as_ref().is_some_and(|p| p.is_cancelled())
+        false
     }
 
     /// Milliseconds since the token was created (the task's elapsed time,
@@ -108,16 +72,9 @@ impl CancelToken {
         self.started.elapsed().as_millis() as u64
     }
 
-    /// The configured budget in milliseconds, if a deadline is in force.
-    pub fn deadline_ms(&self) -> Option<u64> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(self.started).as_millis() as u64)
-    }
-}
-
-impl Default for CancelToken {
-    fn default() -> Self {
-        CancelToken::new()
+    /// The budget in milliseconds.
+    pub fn deadline_ms(&self) -> u64 {
+        self.budget.as_millis() as u64
     }
 }
 
@@ -160,40 +117,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn explicit_cancel_trips_and_latches() {
-        let t = CancelToken::new();
-        assert!(!t.is_cancelled());
-        t.cancel();
-        assert!(t.is_cancelled());
-        assert!(t.is_cancelled(), "cancel latches");
-    }
-
-    #[test]
     fn deadline_trips_after_budget() {
         let t = CancelToken::with_deadline(Duration::from_millis(10));
         assert!(!t.is_cancelled());
         std::thread::sleep(Duration::from_millis(20));
         assert!(t.is_cancelled());
-        assert_eq!(t.deadline_ms(), Some(10));
-    }
-
-    #[test]
-    fn child_observes_parent_cancel() {
-        let parent = Arc::new(CancelToken::new());
-        let child = CancelToken::child_with_deadline(&parent, Some(Duration::from_secs(3600)));
-        assert!(!child.is_cancelled());
-        parent.cancel();
-        assert!(child.is_cancelled(), "parent cancel reaches the child");
+        assert!(t.is_cancelled(), "the deadline latches");
+        assert_eq!(t.deadline_ms(), 10);
     }
 
     #[test]
     fn install_is_scoped_and_nestable() {
         assert!(current().is_none());
-        let outer = Arc::new(CancelToken::new());
+        let outer = Arc::new(CancelToken::with_deadline(Duration::from_secs(3600)));
         {
             let _g1 = install(outer.clone());
             assert!(Arc::ptr_eq(&current().expect("installed"), &outer));
-            let inner = Arc::new(CancelToken::new());
+            let inner = Arc::new(CancelToken::with_deadline(Duration::from_secs(3600)));
             {
                 let _g2 = install(inner.clone());
                 assert!(Arc::ptr_eq(&current().expect("installed"), &inner));

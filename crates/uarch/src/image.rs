@@ -5,7 +5,7 @@
 //! chasing the nested `Program -> Function -> Block -> Inst` representation
 //! and hashing `(FuncId, BlockId, index)` triples on the hot path:
 //!
-//! * every static instruction *and* terminator becomes one [`Step`] in a flat
+//! * every static instruction *and* terminator becomes one `Step` in a flat
 //!   array; the array index is the instruction's **dense site id** (a `u32`),
 //!   which the executor passes to observers in every event;
 //! * a parallel [`SiteMeta`] table predecodes what observers would otherwise
@@ -21,16 +21,16 @@
 //!
 //! # The untagged register file
 //!
-//! Decode runs the [`crate::typing`] inference first and assigns every
+//! Decode runs the `typing` inference first and assigns every
 //! register to one of three banks: a raw `i64` bank, a raw `f64` bank, or the
 //! tagged `Value` bank for registers whose type is not statically known.
 //! Frame slots get the same treatment **per slot**: each function carries a
 //! slot-bank table, statically-addressed accesses resolve their slot and
-//! bank at decode (lowering to untagged [`Step::LoadFI`] / [`Step::LoadFF`] /
-//! [`Step::StoreFI`] / [`Step::StoreFF`] when the banks line up), and
+//! bank at decode (lowering to untagged `Step::LoadFI` / `Step::LoadFF` /
+//! `Step::StoreFI` / `Step::StoreFF` when the banks line up), and
 //! register-indexed accesses consult the table at run time.  Steps whose
 //! operands and destination all live in untagged banks lower to dedicated
-//! variants ([`IntAlu`], [`Step::FloatAlu`], ...) that never touch a `Value`
+//! variants (`IntAlu`, `Step::FloatAlu`, ...) that never touch a `Value`
 //! tag; everything else lowers to general variants that read and write
 //! registers through the per-function bank table, preserving exact tagged
 //! semantics.
@@ -40,18 +40,18 @@
 //! With `fuse` enabled (the default), a post-pass walks every basic block and
 //! fuses common adjacent step pairs into single dispatch points:
 //!
-//! * two adjacent untagged integer ALU steps ([`Step::IntPair`]);
+//! * two adjacent untagged integer ALU steps (`Step::IntPair`);
 //! * an integer ALU feeding the block's conditional branch
-//!   ([`Step::IntCmpBr`]) — every counted-loop header;
+//!   (`Step::IntCmpBr`) — every counted-loop header;
 //! * an integer ALU followed by the block's unconditional jump
-//!   ([`Step::IntAluJump`]) — every loop latch;
+//!   (`Step::IntAluJump`) — every loop latch;
 //! * an untagged global load adjacent to an integer ALU
-//!   ([`Step::LoadGIntAlu`] / [`Step::IntAluLoadG`]) — address-generation and
+//!   (`Step::LoadGIntAlu` / `Step::IntAluLoadG`) — address-generation and
 //!   load-consume idioms;
 //! * untagged **frame-slot** loads/stores adjacent to their ALU
-//!   ([`Step::LoadFIntAlu`], [`Step::IntAluStoreF`], [`Step::LoadFFloatAlu`],
-//!   [`Step::FloatAluStoreF`]) and the three-step read-modify-write shape
-//!   ([`Step::LoadFAluStoreF`] / [`Step::LoadFFAluStoreFF`]) — `-O0` reloads
+//!   (`Step::LoadFIntAlu`, `Step::IntAluStoreF`, `Step::LoadFFloatAlu`,
+//!   `Step::FloatAluStoreF`) and the three-step read-modify-write shape
+//!   (`Step::LoadFAluStoreF` / `Step::LoadFFAluStoreFF`) — `-O0` reloads
 //!   every scalar before use and spills it after every def, so frame-slot
 //!   traffic dominates `-O0` loop bodies.
 //!
@@ -69,7 +69,7 @@
 //!
 //! Decode also **validates** every dense index the executor will use (register
 //! ids against `num_regs`, call targets against the function table, memory
-//! references against non-empty globals, and — via [`frame_slot`] — every
+//! references against non-empty globals, and — via `frame_slot` — every
 //! statically-resolved frame-slot index against the slot-bank table length
 //! `frame_words.max(1)`), which is what makes the executor's unchecked
 //! indexing core sound — see the safety discussion in [`crate::exec`].

@@ -2302,7 +2302,7 @@ fn flow_transfer(flow: &mut Flow<'_>, fi: usize, step: &Step, changed: &mut bool
 /// [`verify_image`] rejects every applicable corruption of every valid image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Corruption {
-    /// Point the first statically-resolved [`FrameSlot`] one past the
+    /// Point the first statically-resolved `FrameSlot` one past the
     /// slot-bank table (breaks `frame-slot-bounds`).
     FrameSlotOutOfRange,
     /// Retype the first untagged access to the opposite bank — e.g. an int
