@@ -164,7 +164,7 @@ fn server_stats(addr: &str) -> Result<bsg_server::proto::ServerStats, String> {
 fn report_stats(addr: &str) -> Result<u64, String> {
     let stats = server_stats(addr)?;
     eprintln!(
-        "[bsg-load] server: workers {}, served {}, batches {}, protocol errors {}, \
+        "[bsg-load] server: workers {}, served {}, executed {}, protocol errors {}, \
          shed {}, preempted {}, max queue depth {}",
         stats.workers,
         stats.requests_served,

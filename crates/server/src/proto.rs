@@ -297,10 +297,11 @@ pub enum Request {
         /// Figure name, or `all_experiments`.
         name: String,
     },
-    /// Server + artifact-store counters (served inline, bypassing the
-    /// dispatch batch).
+    /// Server + artifact-store counters (served inline, without an
+    /// execution slot).
     Stats,
-    /// In-band graceful drain: stop accepting, answer the queue, exit.
+    /// In-band graceful drain: stop accepting, answer what was admitted,
+    /// exit.
     /// Served inline; the reply ([`Response::Shutdown`]) is sent *before*
     /// the server finishes draining, acknowledging that the drain began.
     Shutdown,
@@ -407,20 +408,21 @@ pub struct ServerStats {
     /// Requests served to completion (OK or ERR replies), including
     /// inline stats requests.
     pub requests_served: u64,
-    /// Dispatch batches run through the scheduler.
+    /// Requests executed, each as a one-task scheduler batch (the
+    /// admitted requests that took an execution slot).
     pub batches: u64,
     /// Structural protocol errors observed (bad magic, version skew,
     /// truncation, checksum, undecodable payloads, mid-frame stalls).
     pub protocol_errors: u64,
-    /// Jobs currently admitted but not yet dispatched (a point-in-time
-    /// sample of the bounded admission queue).
+    /// Requests currently admitted but still waiting for an execution
+    /// slot (a point-in-time sample of the bounded admission queue).
     pub queue_depth: u64,
     /// High-watermark of `queue_depth` over the server's lifetime.
     pub max_queue_depth: u64,
     /// Requests shed with [`BsgError::Overloaded`] because the admission
     /// queue was full.
     pub shed_count: u64,
-    /// Batched requests whose task was preempted by the per-request
+    /// Executed requests whose task was preempted by the per-request
     /// deadline (replied with `DeadlineExceeded`).
     pub preempted_count: u64,
     /// The shared artifact store's counters, including per-kind disk

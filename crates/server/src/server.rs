@@ -1,6 +1,5 @@
-//! The bsg-server daemon: accept loop, per-connection reader threads, and
-//! the batching dispatcher that routes request work through the shared
-//! scheduler and artifact store.
+//! The bsg-server daemon: accept loop and per-connection reader threads that
+//! run their own requests through the shared scheduler and artifact store.
 //!
 //! # Dispatch and backpressure model
 //!
@@ -8,42 +7,49 @@
 //! outstanding request at a time** — the protocol is strictly
 //! request/reply per connection, so a client's own pipeline depth is its
 //! concurrency limit and a slow request cannot starve the reader of its
-//! own connection.  Decoded requests are sent to a single dispatcher
-//! thread over a channel; the dispatcher drains up to 64 queued requests
-//! at a time and runs the batch through [`Runtime::try_run`], so
-//! concurrent clients share the scheduler's one task queue instead of each
-//! spawning threads.  `try_run`'s per-task fault isolation means one
-//! poisoned request (panicking build, injected `BSG_FAULT` chaos) costs
-//! exactly its own reply — the rest of the batch completes normally.
+//! own connection.  The reader runs its admitted request itself and writes
+//! the reply as soon as that request finishes, so a quick request never
+//! waits for an unrelated slow one.  A gate of
+//! [`Runtime::workers`] execution slots bounds how many requests run at
+//! once (the scheduler's worker budget); an admitted request waits for a
+//! free slot, then runs as a one-task [`Runtime::try_run`] batch, inline on
+//! its reader thread.  `try_run`'s fault isolation means one poisoned
+//! request (panicking build, injected `BSG_FAULT` chaos) costs exactly its
+//! own reply.
 //!
-//! [`Request::Stats`] is served inline on the reader thread, bypassing the
-//! batch entirely: it only snapshots atomic counters, and keeping it off
-//! the dispatcher means monitoring stays responsive while the scheduler is
-//! saturated with synthesis work.  [`Request::Shutdown`] is inline too: it
-//! flips the drain flag and acknowledges immediately.
+//! A [`Request::Figure`] runs its sweep from the reader thread too, on up
+//! to `workers` scoped scheduler threads of its own, so concurrent figures
+//! use at most `workers`² threads: a fixed bound, independent of load.
+//!
+//! [`Request::Stats`] is served inline without taking a slot: it only
+//! snapshots atomic counters, so monitoring stays responsive while every
+//! slot is busy with synthesis work.  [`Request::Shutdown`] is inline too:
+//! it flips the drain flag and acknowledges immediately.
 //!
 //! # Overload safety (PR 10)
 //!
 //! The request path is hardened end to end:
 //!
-//! - **Admission control.**  The job queue is bounded by
-//!   [`ServerConfig::queue_max`].  A request arriving at a full queue is
-//!   shed *before* any artifact work with a cheap
-//!   [`BsgError::Overloaded`] reply (connection stays open; the error is
-//!   explicitly retryable).
+//! - **Admission control.**  Requests admitted but still waiting for a
+//!   slot are bounded by [`ServerConfig::queue_max`].  A request arriving
+//!   when that many are waiting is shed *before* any artifact work with a
+//!   cheap [`BsgError::Overloaded`] reply (connection stays open; the error
+//!   is explicitly retryable).
 //! - **Per-request deadlines.**  [`ServerConfig::request_deadline`] runs
-//!   every batch on [`Runtime::with_deadline`], so a runaway request is
+//!   every request on [`Runtime::with_deadline`], so a runaway request is
 //!   *preempted* by its deadline token and replied with
-//!   `DeadlineExceeded` instead of pinning a worker.
+//!   `DeadlineExceeded` instead of pinning a slot.
 //! - **Slow-loris defense.**  Connections carry read/write timeouts
 //!   ([`ServerConfig::io_timeout`]).  A peer idle *between* frames just
 //!   re-arms the read (the reader re-checks the drain flag); a peer
 //!   stalled *mid-frame* — or one that won't drain its replies — is
 //!   closed and counted as a protocol error.
 //! - **Graceful drain.**  An in-band [`Request::Shutdown`] or
-//!   [`ServerHandle::request_drain`] (the daemon's SIGTERM path) stops the
-//!   accept loop, lets the dispatcher answer everything already admitted,
-//!   and removes the Unix socket before exit.
+//!   [`ServerHandle::request_drain`] (the daemon's SIGTERM path) sets the
+//!   one drain flag: the accept loop stops, readers refuse new admissions,
+//!   every already-admitted request still runs and is answered, and
+//!   [`ServerHandle::stop`] removes the Unix socket once none is waiting
+//!   or running.
 //!
 //! All artifact work goes through the process-global [`ArtifactStore`](bsg_runtime::ArtifactStore), so
 //! every client shares one hot memory + disk cache: N clients requesting
@@ -62,21 +68,17 @@ use std::os::unix::net::UnixListener;
 #[cfg(unix)]
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Maximum requests the dispatcher folds into one scheduler batch.  Larger
-/// batches amortize scheduler entry; the bound keeps one burst from
-/// monopolizing the scheduler for unboundedly long.
-const BATCH_MAX: usize = 64;
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Admission limit: jobs admitted but not yet dispatched.  Requests
-    /// beyond it are shed with [`BsgError::Overloaded`] instead of growing
-    /// the queue (and client-observed latency) without bound.
+    /// Admission limit: requests admitted but still waiting for an
+    /// execution slot.  Requests beyond it are shed with
+    /// [`BsgError::Overloaded`] instead of growing the wait (and
+    /// client-observed latency) without bound.
     pub queue_max: usize,
     /// Per-request execution budget.  `None` (the default) preserves the
     /// batch harness's run-to-completion behaviour; services under
@@ -98,25 +100,28 @@ impl Default for ServerConfig {
     }
 }
 
-/// Counters shared between the accept loop, reader threads, and the
-/// dispatcher.
+/// Counters and the execution gate shared between the accept loop and the
+/// reader threads.
 #[derive(Default)]
 struct Shared {
     requests_served: AtomicU64,
+    /// Requests executed, each as a one-task scheduler batch.
     batches: AtomicU64,
     protocol_errors: AtomicU64,
-    /// Jobs admitted (reader incremented) but not yet dequeued by the
-    /// dispatcher.  The admission check and the shed decision both read it.
+    /// Requests admitted but still waiting for an execution slot.  The
+    /// admission check and the shed decision both read it.
     queue_depth: AtomicU64,
     max_queue_depth: AtomicU64,
     shed_count: AtomicU64,
     preempted_count: AtomicU64,
     /// Graceful-drain flag: stop accepting and admitting, finish what's
-    /// queued.  Set by an in-band [`Request::Shutdown`], by
+    /// admitted.  Set by an in-band [`Request::Shutdown`], by
     /// [`ServerHandle::request_drain`], or by shutdown itself.
     draining: AtomicBool,
-    /// Hard-stop flag: set by shutdown once the queue has drained.
-    stop: AtomicBool,
+    /// Requests executing now; at most the runtime's worker count.
+    running: Mutex<usize>,
+    /// Wakes one waiting request each time a slot frees.
+    slot_freed: Condvar,
 }
 
 impl Shared {
@@ -135,15 +140,41 @@ impl Shared {
     }
 
     fn halting(&self) -> bool {
-        self.draining.load(Ordering::Relaxed) || self.stop.load(Ordering::Relaxed)
+        self.draining.load(Ordering::Relaxed)
     }
-}
 
-/// One queued request: the decoded body plus the rendezvous channel its
-/// reader thread is blocked on.
-struct Job {
-    request: Request,
-    reply: mpsc::Sender<BsgResult<Response>>,
+    fn running(&self) -> std::sync::MutexGuard<'_, usize> {
+        self.running.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs one admitted request: waits for one of `runtime.workers()`
+    /// execution slots, leaves the admission queue, and runs the request
+    /// as a one-task batch inline on this reader thread, with `try_run`'s
+    /// panic isolation and, when configured, its per-task deadline.
+    fn execute(&self, runtime: &Runtime, request: Request) -> BsgResult<Response> {
+        {
+            let mut running = self.running();
+            while *running >= runtime.workers() {
+                running = self
+                    .slot_freed
+                    .wait(running)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            *running += 1;
+        }
+        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        let mut results = runtime.try_run(vec![move || handle_request(request)]);
+        *self.running() -= 1;
+        self.slot_freed.notify_one();
+
+        self.requests_served.fetch_add(1, Ordering::Relaxed);
+        let result = results.pop().expect("one result per task").and_then(|r| r);
+        if matches!(result, Err(BsgError::DeadlineExceeded { .. })) {
+            self.preempted_count.fetch_add(1, Ordering::Relaxed);
+        }
+        result
+    }
 }
 
 /// A running daemon.  Dropping the handle stops it.
@@ -153,7 +184,6 @@ pub struct ServerHandle {
     unix_path: Option<PathBuf>,
     shared: Arc<Shared>,
     accept: Option<thread::JoinHandle<()>>,
-    dispatcher: Option<thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -169,8 +199,8 @@ impl ServerHandle {
     }
 
     /// Gracefully drains and stops the daemon: no new connections or
-    /// admissions, every already-admitted request is answered, then the
-    /// dispatcher exits and (on Unix) the socket file is removed.
+    /// admissions, every already-admitted request is answered, then (on
+    /// Unix) the socket file is removed.
     pub fn stop(mut self) {
         self.shutdown();
     }
@@ -185,29 +215,26 @@ impl ServerHandle {
 
     /// Requests a graceful drain without blocking: the accept loop winds
     /// down and readers refuse new admissions.  Call
-    /// [`ServerHandle::stop`] afterwards to wait for the queue to empty
+    /// [`ServerHandle::stop`] afterwards to wait for admitted work to finish
     /// and release the listener.
     pub fn request_drain(&self) {
         self.shared.draining.store(true, Ordering::Relaxed);
     }
 
     fn shutdown(&mut self) {
-        // Phase 1: stop accepting connections and admitting jobs.
+        // Phase 1: stop accepting connections and admitting requests.
         self.shared.draining.store(true, Ordering::Relaxed);
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
-        // Phase 2: wait for the dispatcher to pick up everything already
-        // admitted (replies go out when its in-flight batch completes),
-        // then stop it.  The bound keeps a wedged build from hanging Drop
-        // forever; the queue normally empties in well under a second.
+        // Phase 2: wait until every admitted request has run, waiting or
+        // executing.  The bound keeps a wedged build from hanging Drop
+        // forever; admitted work normally finishes in well under a second.
         let deadline = Instant::now() + Duration::from_secs(30);
-        while self.shared.queue_depth.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
+        while (self.shared.queue_depth.load(Ordering::Relaxed) > 0 || *self.shared.running() > 0)
+            && Instant::now() < deadline
+        {
             thread::sleep(Duration::from_millis(5));
-        }
-        self.shared.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.dispatcher.take() {
-            let _ = t.join();
         }
         #[cfg(unix)]
         if let Some(path) = self.unix_path.take() {
@@ -305,12 +332,9 @@ fn start(
     let _ = unix_path;
     listener.set_nonblocking(true)?;
     let shared = Arc::new(Shared::default());
-    let (jobs_tx, jobs_rx) = mpsc::channel::<Job>();
-
-    let dispatcher = {
-        let shared = Arc::clone(&shared);
-        let deadline = config.request_deadline;
-        thread::spawn(move || dispatch_loop(&jobs_rx, &shared, deadline))
+    let runtime = match config.request_deadline {
+        Some(budget) => Runtime::global().with_deadline(budget),
+        None => *Runtime::global(),
     };
 
     let accept = {
@@ -322,9 +346,8 @@ fn start(
                 match listener.accept(io_timeout) {
                     Ok((reader, writer)) => {
                         let shared = Arc::clone(&shared);
-                        let jobs = jobs_tx.clone();
                         thread::spawn(move || {
-                            serve_connection(reader, writer, &shared, &jobs, queue_max);
+                            serve_connection(reader, writer, &shared, &runtime, queue_max);
                         });
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -333,8 +356,6 @@ fn start(
                     Err(_) => thread::sleep(Duration::from_millis(5)),
                 }
             }
-            // Dropping jobs_tx here lets the dispatcher drain and exit
-            // once every reader thread's clone is gone too.
         })
     };
 
@@ -344,68 +365,7 @@ fn start(
         unix_path,
         shared,
         accept: Some(accept),
-        dispatcher: Some(dispatcher),
     })
-}
-
-/// The dispatcher: drains queued jobs into bounded batches and runs each
-/// batch through the scheduler with per-task fault isolation and, when
-/// configured, a per-task preemption deadline.
-fn dispatch_loop(jobs: &mpsc::Receiver<Job>, shared: &Shared, deadline: Option<Duration>) {
-    let runtime = match deadline {
-        Some(budget) => Runtime::global().with_deadline(budget),
-        None => *Runtime::global(),
-    };
-    loop {
-        let first = match jobs.recv_timeout(Duration::from_millis(50)) {
-            Ok(job) => job,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                continue;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        };
-        let mut batch = vec![first];
-        while batch.len() < BATCH_MAX {
-            match jobs.try_recv() {
-                Ok(job) => batch.push(job),
-                Err(_) => break,
-            }
-        }
-        // Free the admission slots as soon as the jobs leave the queue:
-        // in-flight work is bounded by BATCH_MAX, the queue by queue_max,
-        // and the two bounds are independent.
-        shared
-            .queue_depth
-            .fetch_sub(batch.len() as u64, Ordering::Relaxed);
-        shared.batches.fetch_add(1, Ordering::Relaxed);
-
-        let (requests, replies): (Vec<Request>, Vec<mpsc::Sender<BsgResult<Response>>>) =
-            batch.into_iter().map(|j| (j.request, j.reply)).unzip();
-        let tasks: Vec<_> = requests
-            .into_iter()
-            .map(|request| move || handle_request(request))
-            .collect();
-        // try_run catches per-task panics, so one poisoned request (a
-        // panicking build, injected chaos) yields one Err reply while the
-        // rest of the batch completes; the outer/inner results flatten.
-        // A deadline installs a per-task token, so a runaway request is
-        // preempted mid-execution, not just failed at completion time.
-        let results = runtime.try_run(tasks);
-        for (result, reply) in results.into_iter().zip(replies) {
-            shared.requests_served.fetch_add(1, Ordering::Relaxed);
-            let flat = result.and_then(|r| r);
-            if matches!(flat, Err(BsgError::DeadlineExceeded { .. })) {
-                shared.preempted_count.fetch_add(1, Ordering::Relaxed);
-            }
-            // A dropped receiver means the reader thread (and its client)
-            // went away mid-request; the work is already cached, so the
-            // loss is only the reply.
-            let _ = reply.send(flat);
-        }
-    }
 }
 
 /// Serves one request body.  Runs inside a scheduler task, so panics here
@@ -465,8 +425,8 @@ fn handle_request(request: Request) -> BsgResult<Response> {
             }
         }
         Request::Stats => Err(BsgError::InvalidRequest {
-            // Reader threads serve stats inline; reaching the dispatcher
-            // with one is a client-side framing bug worth surfacing.
+            // Reader threads serve stats inline, without a slot; reaching
+            // here with one is a server-side routing bug worth surfacing.
             message: "stats requests are served inline, not dispatched".to_string(),
         }),
         Request::Shutdown => Err(BsgError::InvalidRequest {
@@ -488,7 +448,7 @@ fn serve_connection(
     mut reader: Box<dyn Read + Send>,
     mut writer: Box<dyn Write + Send>,
     shared: &Shared,
-    jobs: &mpsc::Sender<Job>,
+    runtime: &Runtime,
     queue_max: u64,
 ) {
     loop {
@@ -557,7 +517,7 @@ fn serve_connection(
                 )
             }
             Some(request) => {
-                // Admission control: reserve a queue slot or shed.  The
+                // Admission control: join the wait for a slot or shed.  The
                 // increment-then-rollback keeps the check race-free enough
                 // that depth can transiently overshoot by the number of
                 // racing readers but the queue never *admits* past the
@@ -577,20 +537,9 @@ fn serve_connection(
                     )
                 } else {
                     shared.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
-                    let (tx, rx) = mpsc::channel();
-                    if jobs.send(Job { request, reply: tx }).is_err() {
-                        // Dispatcher is gone: the daemon is shutting down.
-                        shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        let error = BsgError::InvalidRequest {
-                            message: "server is shutting down".to_string(),
-                        };
-                        let _ = write_frame(&mut writer, &err_frame(request_id, &error));
-                        return;
-                    }
-                    match rx.recv() {
-                        Ok(Ok(response)) => ok_frame(request_id, &response),
-                        Ok(Err(error)) => err_frame(request_id, &error),
-                        Err(_) => return, // dispatcher died mid-request
+                    match shared.execute(runtime, request) {
+                        Ok(response) => ok_frame(request_id, &response),
+                        Err(error) => err_frame(request_id, &error),
                     }
                 }
             }

@@ -268,8 +268,8 @@ fn a_stopped_server_yields_structured_client_errors() {
     }
 }
 
-/// Admission control with exact bookkeeping: pin the dispatcher with a
-/// deadline-storm request, burst past `queue_max`, and require the
+/// Admission control with exact bookkeeping: hold every execution slot
+/// with deadline-storm requests, burst past `queue_max`, and require the
 /// client-observed `Overloaded` and `DeadlineExceeded` counts to equal the
 /// server's `shed_count` and `preempted_count` *exactly* (this server
 /// instance is private to the test, so no other traffic perturbs them).
@@ -287,23 +287,27 @@ fn overload_sheds_are_counted_exactly_and_healthy_work_resumes() {
     const BURST: usize = 8;
     let mut observed_sheds = 0u64;
     let mut observed_preempted = 0u64;
-    // The storm occupies the dispatcher until its deadline preempts it;
-    // the burst lands in that window and collides with queue_max = 1.
+    // One storm per execution slot holds it until its deadline preempts
+    // it; the burst lands in that window and collides with queue_max = 1.
     // Timing can starve the window on a loaded machine, so retry the
     // round until a shed is observed — the exact-count assertion below
     // holds across rounds because both sides accumulate.
     for _round in 0..3 {
-        let storm_addr = addr.clone();
-        let storm = std::thread::spawn(move || {
-            let mut client = Client::connect_tcp(&storm_addr).expect("connect");
-            client
-                .call(&Request::Measure {
-                    program: bsg_server::storm_program(0x57),
-                    options: CompileOptions::portable(OptLevel::O0),
+        let storms: Vec<_> = (0..bsg_runtime::Runtime::global().workers())
+            .map(|_| {
+                let storm_addr = addr.clone();
+                std::thread::spawn(move || {
+                    let mut client = Client::connect_tcp(&storm_addr).expect("connect");
+                    client
+                        .call(&Request::Measure {
+                            program: bsg_server::storm_program(0x57),
+                            options: CompileOptions::portable(OptLevel::O0),
+                        })
+                        .expect("storm transport")
                 })
-                .expect("storm transport")
-        });
-        std::thread::sleep(Duration::from_millis(60)); // let it dequeue
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(60)); // let them take the slots
         let round: Vec<Result<Response, BsgError>> = std::thread::scope(|s| {
             let mut joins = Vec::new();
             for i in 0..BURST {
@@ -320,10 +324,11 @@ fn overload_sheds_are_counted_exactly_and_healthy_work_resumes() {
             }
             joins.into_iter().map(|j| j.join().expect("join")).collect()
         });
-        for reply in round
-            .iter()
-            .chain([storm.join().expect("storm join")].iter())
-        {
+        let storm_replies: Vec<_> = storms
+            .into_iter()
+            .map(|storm| storm.join().expect("storm join"))
+            .collect();
+        for reply in round.iter().chain(storm_replies.iter()) {
             match reply {
                 Err(BsgError::Overloaded { queue_depth, limit }) => {
                     assert!(queue_depth >= limit, "shed below the limit: {reply:?}");
@@ -377,8 +382,72 @@ fn overload_sheds_are_counted_exactly_and_healthy_work_resumes() {
     handle.stop();
 }
 
-/// Slow-loris defense: a client dripping one byte per 50 ms neither wedges
-/// the dispatcher nor delays a concurrent healthy client, and a client
+/// A quick request is answered while a deadline storm still runs on
+/// another connection: each request runs on its own connection thread, so
+/// it waits for a free execution slot, never for an unrelated request.
+#[test]
+fn a_quick_request_is_answered_while_a_storm_runs() {
+    use std::time::{Duration, Instant};
+    let workers = bsg_runtime::Runtime::global().workers();
+    if workers < 2 {
+        eprintln!("skipped: needs 2 execution slots, the runtime has {workers}");
+        return;
+    }
+    let config = ServerConfig {
+        request_deadline: Some(Duration::from_millis(400)),
+        io_timeout: None,
+        ..ServerConfig::default()
+    };
+    let handle = Server::bind_tcp("127.0.0.1:0", config).expect("bind");
+    let addr = handle.local_addr().expect("tcp addr").to_string();
+
+    let storm_addr = addr.clone();
+    let storm = std::thread::spawn(move || {
+        let mut client = Client::connect_tcp(&storm_addr).expect("connect");
+        client
+            .call(&Request::Measure {
+                program: bsg_server::storm_program(0x5107),
+                options: CompileOptions::portable(OptLevel::O0),
+            })
+            .expect("storm transport")
+    });
+    std::thread::sleep(Duration::from_millis(50));
+
+    let t0 = Instant::now();
+    let mut quick = Client::connect_tcp(&addr).expect("connect");
+    let reply = quick
+        .call(&Request::Measure {
+            program: load_program(0x5108),
+            options: CompileOptions::portable(OptLevel::O0),
+        })
+        .expect("quick transport");
+    let elapsed = t0.elapsed();
+    assert!(
+        matches!(reply, Ok(Response::Measure { .. })),
+        "quick request failed: {reply:?}"
+    );
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "quick request waited {elapsed:?} behind the storm"
+    );
+    assert!(
+        !storm.is_finished(),
+        "the storm finished first; the quick request proved nothing"
+    );
+
+    let storm_reply = storm.join().expect("storm join");
+    assert!(
+        matches!(
+            storm_reply,
+            Ok(Response::Measure { .. }) | Err(BsgError::DeadlineExceeded { .. })
+        ),
+        "storm reply: {storm_reply:?}"
+    );
+    handle.stop();
+}
+
+/// Slow-loris defense: a client dripping one byte per 50 ms neither holds
+/// an execution slot nor delays a concurrent healthy client, and a client
 /// stalled outright mid-frame is killed by the io timeout (and counted as
 /// a protocol error) instead of pinning its reader forever.
 #[test]
@@ -420,7 +489,7 @@ fn slow_loris_writers_are_contained_and_stalls_are_killed() {
     stalled.flush().expect("flush");
 
     // A healthy client served *while both lorises are mid-abuse* must
-    // complete promptly — the dispatcher never even sees the lorises.
+    // complete promptly — the lorises never even reach a slot.
     let t0 = Instant::now();
     let mut healthy = Client::connect_tcp(&addr).expect("connect");
     let reply = healthy
@@ -507,8 +576,8 @@ fn inband_shutdown_drains_queued_work_and_removes_the_socket() {
     };
     let handle = Server::bind_unix(&path, config).expect("bind");
 
-    // Pin the dispatcher with a storm, then park a quick request behind it
-    // in the queue, so the shutdown arrives with work genuinely pending.
+    // Hold a slot with a storm and send a quick request next to it, so the
+    // shutdown arrives while admitted work is still running.
     let storm_path = path.clone();
     let storm = std::thread::spawn(move || {
         let mut client = Client::connect_unix(&storm_path).expect("connect");
