@@ -470,7 +470,10 @@ fn main() {
     // Machine-axis fields appear only when measured (`--machine-axis`), so
     // runs without the sweep do not record misleading zeros.
     if let Some((batched_seconds, scalar_seconds, batched_speedup)) = machine_axis_result {
-        let _ = writeln!(json, "  \"fig11_wall_seconds\": {batched_seconds:.6},");
+        let _ = writeln!(
+            json,
+            "  \"machine_axis_batched_seconds\": {batched_seconds:.6},"
+        );
         let _ = writeln!(
             json,
             "  \"machine_axis_scalar_seconds\": {scalar_seconds:.6},"

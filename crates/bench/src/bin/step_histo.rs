@@ -1,18 +1,26 @@
 #![forbid(unsafe_code)]
 
-//! Perf diagnostic: per-kernel dynamic dispatch histogram by step variant.
+//! Perf diagnostic: the report's dynamic dispatches by step variant.
 //!
-//! For each named workload (default: the whole small suite), compiles at
-//! `-O0`, executes the fused image with a per-site counting observer, and
-//! prints which step variants the dynamic dispatches actually go through —
-//! the tool that tells us which shapes are still worth fusing or quickening.
+//! Prepares the small suite, lists the requests of every measuring section
+//! of `ALL_EXPERIMENTS` (the report's measurement plan), compiles them and
+//! merges equal compiled programs exactly as `observe` does, then executes
+//! each distinct program's fused image once with a per-site counting
+//! observer and prints every step variant's share of all dispatches.  This
+//! is the evidence a fused shape is kept on: it stays only while it carries
+//! at least 0.4% of the report's dispatches (DESIGN.md, "Which fused shapes
+//! stay").
 //!
-//! Run with `cargo run -p bsg-bench --release --bin step_histo [names...]`.
+//! Run with `cargo run -p bsg-bench --release --bin step_histo`.
 
-use bsg_compiler::{CompileOptions, OptLevel};
+use bsg_bench::{
+    try_prepare_suite, InputSize, Section, Unit, WorkloadArtifacts, ALL_EXPERIMENTS,
+    SYNTH_TARGET_INSTRUCTIONS,
+};
+use bsg_runtime::{ArtifactStore, CompiledArtifact};
 use bsg_uarch::exec::{execute_image, ExecConfig, InstEvent, Observer};
-use bsg_uarch::image::ExecImage;
-use bsg_workloads::{suite, InputSize};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Counts dynamic executions per dense site id.
 struct SiteCounts(Vec<u64>);
@@ -24,31 +32,51 @@ impl Observer for SiteCounts {
 }
 
 fn main() {
-    let filter: Vec<String> = std::env::args().skip(1).collect();
-    for w in suite(InputSize::Small) {
-        if !filter.is_empty() && !filter.iter().any(|f| w.name.contains(f.as_str())) {
+    let mut artifacts: Vec<WorkloadArtifacts> = Vec::new();
+    for (name, result) in try_prepare_suite(InputSize::Small, SYNTH_TARGET_INSTRUCTIONS) {
+        match result {
+            Ok(a) => artifacts.push(a),
+            Err(e) => eprintln!("step_histo: skipping {name}: {e}"),
+        }
+    }
+
+    // The plan's distinct programs: one per class of equal compilations.
+    let store = ArtifactStore::global();
+    let mut programs: Vec<Arc<CompiledArtifact>> = Vec::new();
+    for section in ALL_EXPERIMENTS {
+        let Section::Measure(m) = section else {
             continue;
+        };
+        for r in m.requests(&artifacts) {
+            let art = match &r.unit {
+                Unit::Original(i) => artifacts[*i].compiled(&r.options, false),
+                Unit::Synthetic(i) => artifacts[*i].compiled(&r.options, true),
+                Unit::Synthesized(id, s) => store.compiled_keyed(*id, &s.benchmark.hll, &r.options),
+            };
+            if !programs.iter().any(|p| p.program == art.program) {
+                programs.push(art);
+            }
         }
-        let art = bsg_runtime::ArtifactStore::global()
-            .compiled(&w.program, &CompileOptions::portable(OptLevel::O0));
-        let image = ExecImage::new(&art.program);
-        let mut counts = SiteCounts(vec![0; image.num_sites()]);
-        let out = execute_image(&image, &mut counts, &ExecConfig::default());
+    }
+
+    let mut by_variant: HashMap<&'static str, u64> = HashMap::new();
+    for art in &programs {
+        let mut counts = SiteCounts(vec![0; art.image.num_sites()]);
+        execute_image(&art.image, &mut counts, &ExecConfig::default());
+        for (name, n) in art.image.step_histogram(&counts.0) {
+            *by_variant.entry(name).or_default() += n;
+        }
+    }
+    let mut histo: Vec<_> = by_variant.into_iter().collect();
+    histo.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    let total: u64 = histo.iter().map(|(_, n)| n).sum();
+    println!("{} distinct programs, {total} dispatches", programs.len());
+    for (name, n) in &histo {
         println!(
-            "== {} ({} dynamic instructions, {} fused sites)",
-            w.name,
-            out.dynamic_instructions,
-            image.num_fused()
+            "  {:<18} {:>12}  {:>7.3}%",
+            name,
+            n,
+            *n as f64 / total as f64 * 100.0
         );
-        let histo = image.step_histogram(&counts.0);
-        let total: u64 = histo.iter().map(|(_, n)| n).sum();
-        for (name, n) in histo.iter().take(16) {
-            println!(
-                "  {:<20} {:>12}  {:>5.1}% of dispatches",
-                name,
-                n,
-                *n as f64 / total as f64 * 100.0
-            );
-        }
     }
 }

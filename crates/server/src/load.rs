@@ -173,14 +173,16 @@ pub fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
 
 /// Runs one phase: `clients` threads, each issuing `requests_per_client`
 /// requests over its own connection to the TCP daemon at `addr`, all
-/// released from a barrier at once.
+/// released from a barrier at once.  The phase's wall clock runs from the
+/// earliest client's release to the latest client's last reply, so it
+/// covers every request whichever thread the scheduler runs first.
 pub fn run_phase(
     addr: &str,
     clients: usize,
     requests_per_client: usize,
     phase: Phase,
 ) -> PhaseReport {
-    let barrier = Arc::new(Barrier::new(clients + 1));
+    let barrier = Arc::new(Barrier::new(clients));
     let mut handles = Vec::with_capacity(clients);
     for client in 0..clients {
         let addr = addr.to_string();
@@ -191,45 +193,46 @@ pub fn run_phase(
             let mut transport_errors = 0u64;
             let connection = Client::connect_tcp(&addr);
             barrier.wait();
-            let mut connection = match connection {
-                Ok(c) => c,
-                Err(_) => {
-                    // Every request this client would have issued is a
-                    // transport error; the phase still completes.
-                    return (latencies_ms, failures, requests_per_client as u64);
-                }
-            };
-            for r in 0..requests_per_client {
-                let request = request_for(phase, client, r);
-                let start = Instant::now();
-                match connection.call(&request) {
-                    Ok(Ok(_)) => latencies_ms.push(start.elapsed().as_secs_f64() * 1e3),
-                    Ok(Err(_)) => {
-                        latencies_ms.push(start.elapsed().as_secs_f64() * 1e3);
-                        failures += 1;
+            let released = Instant::now();
+            match connection {
+                Ok(mut connection) => {
+                    for r in 0..requests_per_client {
+                        let request = request_for(phase, client, r);
+                        let start = Instant::now();
+                        match connection.call(&request) {
+                            Ok(Ok(_)) => latencies_ms.push(start.elapsed().as_secs_f64() * 1e3),
+                            Ok(Err(_)) => {
+                                latencies_ms.push(start.elapsed().as_secs_f64() * 1e3);
+                                failures += 1;
+                            }
+                            Err(_) => transport_errors += 1,
+                        }
                     }
-                    Err(_) => transport_errors += 1,
                 }
+                // Every request this client would have issued is a
+                // transport error; the phase still completes.
+                Err(_) => transport_errors = requests_per_client as u64,
             }
-            (latencies_ms, failures, transport_errors)
+            let window = (released, Instant::now());
+            (latencies_ms, failures, transport_errors, window)
         }));
     }
-    barrier.wait();
-    let started = Instant::now();
     let mut all_latencies = Vec::with_capacity(clients * requests_per_client);
     let mut failures = 0u64;
     let mut transport_errors = 0u64;
+    let mut window: Option<(Instant, Instant)> = None;
     for handle in handles {
         match handle.join() {
-            Ok((latencies, f, t)) => {
+            Ok((latencies, f, t, (start, end))) => {
                 all_latencies.extend(latencies);
                 failures += f;
                 transport_errors += t;
+                window = Some(window.map_or((start, end), |(s, e)| (s.min(start), e.max(end))));
             }
             Err(_) => transport_errors += requests_per_client as u64,
         }
     }
-    let elapsed_secs = started.elapsed().as_secs_f64();
+    let elapsed_secs = window.map_or(0.0, |(start, end)| (end - start).as_secs_f64());
     all_latencies.sort_by(|a, b| a.total_cmp(b));
     let completed = all_latencies.len() as u64;
     PhaseReport {

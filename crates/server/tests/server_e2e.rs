@@ -251,6 +251,27 @@ fn load_harness_runs_clean_against_a_warm_server() {
 }
 
 #[test]
+fn a_phase_clock_covers_every_clients_requests() {
+    let (handle, addr) = start_tcp();
+    let nonce = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .expect("clock after the epoch")
+        .as_nanos() as u64;
+    // One request per client: each client's summed latency is its single
+    // latency, and p99 over 8 samples is the largest of them.
+    let report = run_phase(&addr, 8, 1, Phase::Cold { nonce });
+    assert_eq!(report.transport_errors, 0);
+    assert_eq!(report.ok + report.failures, 8);
+    assert!(
+        report.elapsed_secs * 1e3 >= report.p99_ms,
+        "phase clock {:.3} ms is shorter than a client's requests ({:.3} ms)",
+        report.elapsed_secs * 1e3,
+        report.p99_ms
+    );
+    handle.stop();
+}
+
+#[test]
 fn a_stopped_server_yields_structured_client_errors() {
     let (handle, addr) = start_tcp();
     handle.stop();

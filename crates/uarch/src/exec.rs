@@ -22,10 +22,11 @@
 //!    `i64` and `f64` banks plus a tagged `Value` bank for the rare register
 //!    whose type is not statically known.  The hot ALU steps never match on
 //!    a `Value` tag.
-//! 3. **Superinstruction fusion**: adjacent step pairs inside a basic block
-//!    (ALU/ALU, compare+branch, ALU+jump, load+ALU) collapse into single
-//!    dispatch points while replaying each constituent's budget protocol and
-//!    observer events exactly (see `image`).
+//! 3. **Superinstruction fusion**: adjacent step shapes inside a basic block
+//!    (ALU/ALU, compare+branch, load+ALU, the `-O0` frame-slot shapes)
+//!    collapse into single dispatch points while replaying each
+//!    constituent's budget protocol and observer events exactly (see
+//!    `image`).
 //! 4. **Monomorphization**: [`execute`] is generic over the observer type, so
 //!    observer callbacks inline into the dispatch loop; with [`NullObserver`]
 //!    the event plumbing compiles away entirely.
@@ -79,21 +80,18 @@
 //!   shape; each is emitted by decode only under the stated proof):
 //!   - Int-slot shapes — `LoadFI`/`StoreFI` and the fused `LoadFIntAlu`/
 //!     `IntAluStoreF`/`LoadFAluStoreF`/`LoadFPairI`/`LoadFCmpBr`/
-//!     `StoreFIJump`/`StoreFLoadF`/`LoadFILoadG`/`LoadFIStoreG`: every
-//!     addressed slot is int-banked in `slot_banks` (so `slots_int` is
-//!     sized) and every frame-load destination/frame-store source register
-//!     is int-banked.
-//!   - Float-slot shapes — `LoadFF`/`StoreFF` and the fused
-//!     `LoadFFloatAlu`/`FloatAluStoreF`/`LoadFFAluStoreFF`/`LoadFPairF`/
-//!     `LoadFUnFFStoreFF`/`FloatPairStoreF`: every addressed slot is
-//!     float-banked (so `slots_float` is sized) and every frame-load
-//!     destination/frame-store source register is float-banked; float slots
-//!     additionally never observe their missing zero-fill because the type
-//!     analysis proved every read is preceded by a store
-//!     (`typing::frame_entry_live`).
+//!     `StoreFIJump`/`StoreFLoadF`/`LoadFILoadG`: every addressed slot is
+//!     int-banked in `slot_banks` (so `slots_int` is sized) and every
+//!     frame-load destination/frame-store source register is int-banked.
+//!   - Float-slot shapes — `LoadFF`/`StoreFF` (no fused shape addresses a
+//!     float slot): every addressed slot is float-banked (so `slots_float`
+//!     is sized) and every frame-load destination/frame-store source
+//!     register is float-banked; float slots additionally never observe
+//!     their missing zero-fill because the type analysis proved every read
+//!     is preceded by a store (`typing::frame_entry_live`).
 //!   - Register-only untagged shapes — `UnIF` (int source, float
-//!     destination), `FloatPair` (float banks throughout), `LoadGCmpBr`/
-//!     `LoadGFloatAlu`/`LoadFILoadG` global constituents (validated like
+//!     destination), `FloatPair` (float banks throughout), the `LoadGIntAlu`/
+//!     `IntAluLoadG`/`LoadFILoadG` global constituents (validated like
 //!     every `GlobalMem`): registers were bank-checked at decode exactly as
 //!     for their unfused forms.
 //!   - `LoadFrame`/`StoreFrame` (general): every slot index is wrapped below
@@ -1124,18 +1122,6 @@ impl<'a> Engine<'a> {
                             halt_poll!();
                             continue;
                         }
-                        Step::IntAluJump { a, target } => {
-                            exec_int_alu(a, &mut frame.ints);
-                            emit_at!(pc, 0, None, None);
-                            // Absorbed Jump terminator at pc + 1: no event,
-                            // no budget charge, exactly like Step::Jump.
-                            let from = at(metas, pc + 1).site.block;
-                            observer.on_edge(func_id, from, target.block, target.edge_idx);
-                            observer.on_block(func_id, target.block, target.block_idx);
-                            pc = target.pc as usize;
-                            halt_poll!();
-                            continue;
-                        }
                         Step::LoadGIntAlu { dst, mem, b } => {
                             let (value, byte_addr) = self.load_global(mem, frame);
                             // dst is int-banked: the analysis proved the
@@ -1225,38 +1211,6 @@ impl<'a> Engine<'a> {
                             pc += 3;
                             continue;
                         }
-                        Step::LoadFFloatAlu { dst, s, b } => {
-                            *at_mut(&mut frame.floats, *dst as usize) =
-                                *at(&frame.slots_float, s.slot as usize);
-                            emit_at!(
-                                pc,
-                                0,
-                                Some(self.image.layout.frame_addr(depth, s.elem)),
-                                None
-                            );
-                            halt_poll!();
-                            count_inst!();
-                            exec_float_alu(b, frame);
-                            emit_at!(pc, 1, None, None);
-                            pc += 2;
-                            continue;
-                        }
-                        Step::FloatAluStoreF { a, src, s } => {
-                            exec_float_alu(a, frame);
-                            emit_at!(pc, 0, None, None);
-                            halt_poll!();
-                            count_inst!();
-                            *at_mut(&mut frame.slots_float, s.slot as usize) =
-                                float_src(*src, frame);
-                            emit_at!(
-                                pc,
-                                1,
-                                None,
-                                Some(self.image.layout.frame_addr(depth, s.elem))
-                            );
-                            pc += 2;
-                            continue;
-                        }
                         Step::FloatPair(a, b) => {
                             exec_float_alu(a, frame);
                             emit_at!(pc, 0, None, None);
@@ -1322,92 +1276,6 @@ impl<'a> Engine<'a> {
                             pc += 2;
                             continue;
                         }
-                        Step::LoadGFloatAlu { dst, mem, b } => {
-                            let (value, byte_addr) = self.load_global(mem, frame);
-                            // dst is float-banked: the analysis proved the
-                            // region all-float, so as_float is the identity.
-                            *at_mut(&mut frame.floats, *dst as usize) = value.as_float();
-                            emit_at!(pc, 0, Some(byte_addr), None);
-                            halt_poll!();
-                            count_inst!();
-                            exec_float_alu(b, frame);
-                            emit_at!(pc, 1, None, None);
-                            pc += 2;
-                            continue;
-                        }
-                        Step::LoadFIStoreG { dst, s, src, mem } => {
-                            *at_mut(&mut frame.ints, *dst as usize) =
-                                *at(&frame.slots_int, s.slot as usize);
-                            emit_at!(
-                                pc,
-                                0,
-                                Some(self.image.layout.frame_addr(depth, s.elem)),
-                                None
-                            );
-                            halt_poll!();
-                            count_inst!();
-                            let mut store_read: Option<u64> = None;
-                            let v = self.operand(src, frame, f, depth, &mut store_read);
-                            let byte_addr = self.store_global(mem, frame, v);
-                            emit_at!(pc, 1, store_read, Some(byte_addr));
-                            pc += 2;
-                            continue;
-                        }
-                        Step::FloatPairStoreF { a, b, src, s } => {
-                            exec_float_alu(a, frame);
-                            emit_at!(pc, 0, None, None);
-                            halt_poll!();
-                            count_inst!();
-                            exec_float_alu(b, frame);
-                            emit_at!(pc, 1, None, None);
-                            halt_poll!();
-                            count_inst!();
-                            *at_mut(&mut frame.slots_float, s.slot as usize) =
-                                float_src(*src, frame);
-                            emit_at!(
-                                pc,
-                                2,
-                                None,
-                                Some(self.image.layout.frame_addr(depth, s.elem))
-                            );
-                            pc += 3;
-                            continue;
-                        }
-                        Step::LoadGCmpBr {
-                            dst,
-                            mem,
-                            a,
-                            cond,
-                            taken,
-                            not_taken,
-                        } => {
-                            let (value, byte_addr) = self.load_global(mem, frame);
-                            *at_mut(&mut frame.ints, *dst as usize) = value.as_int();
-                            emit_at!(pc, 0, Some(byte_addr), None);
-                            halt_poll!();
-                            count_inst!();
-                            exec_int_alu(a, &mut frame.ints);
-                            emit_at!(pc, 1, None, None);
-                            // Absorbed Branch terminator at pc + 2: no
-                            // preceding halted check, like Step::Branch.
-                            count_inst!();
-                            let bsite = at(metas, pc + 2).site;
-                            let t = *at(&frame.ints, *cond as usize) != 0;
-                            observer.on_inst(&InstEvent {
-                                site: bsite,
-                                site_id: (pc + 2) as u32,
-                                class: InstClass::Branch,
-                                mem_read: None,
-                                mem_write: None,
-                            });
-                            observer.on_branch(bsite, (pc + 2) as u32, t);
-                            let target = if t { taken } else { not_taken };
-                            observer.on_edge(func_id, bsite.block, target.block, target.edge_idx);
-                            observer.on_block(func_id, target.block, target.block_idx);
-                            pc = target.pc as usize;
-                            halt_poll!();
-                            continue;
-                        }
                         Step::LoadFPairI { dst1, s1, dst2, s2 } => {
                             *at_mut(&mut frame.ints, *dst1 as usize) =
                                 *at(&frame.slots_int, s1.slot as usize);
@@ -1421,28 +1289,6 @@ impl<'a> Engine<'a> {
                             count_inst!();
                             *at_mut(&mut frame.ints, *dst2 as usize) =
                                 *at(&frame.slots_int, s2.slot as usize);
-                            emit_at!(
-                                pc,
-                                1,
-                                Some(self.image.layout.frame_addr(depth, s2.elem)),
-                                None
-                            );
-                            pc += 2;
-                            continue;
-                        }
-                        Step::LoadFPairF { dst1, s1, dst2, s2 } => {
-                            *at_mut(&mut frame.floats, *dst1 as usize) =
-                                *at(&frame.slots_float, s1.slot as usize);
-                            emit_at!(
-                                pc,
-                                0,
-                                Some(self.image.layout.frame_addr(depth, s1.elem)),
-                                None
-                            );
-                            halt_poll!();
-                            count_inst!();
-                            *at_mut(&mut frame.floats, *dst2 as usize) =
-                                *at(&frame.slots_float, s2.slot as usize);
                             emit_at!(
                                 pc,
                                 1,
@@ -1509,73 +1355,6 @@ impl<'a> Engine<'a> {
                             observer.on_block(func_id, target.block, target.block_idx);
                             pc = target.pc as usize;
                             halt_poll!();
-                            continue;
-                        }
-                        Step::LoadFUnFFStoreFF {
-                            dst,
-                            ls,
-                            op,
-                            udst,
-                            usrc,
-                            ssrc,
-                            ss,
-                        } => {
-                            *at_mut(&mut frame.floats, *dst as usize) =
-                                *at(&frame.slots_float, ls.slot as usize);
-                            emit_at!(
-                                pc,
-                                0,
-                                Some(self.image.layout.frame_addr(depth, ls.elem)),
-                                None
-                            );
-                            halt_poll!();
-                            count_inst!();
-                            let v = *at(&frame.floats, *usrc as usize);
-                            *at_mut(&mut frame.floats, *udst as usize) = un_ff(*op, v);
-                            emit_at!(pc, 1, None, None);
-                            halt_poll!();
-                            count_inst!();
-                            *at_mut(&mut frame.slots_float, ss.slot as usize) =
-                                float_src(*ssrc, frame);
-                            emit_at!(
-                                pc,
-                                2,
-                                None,
-                                Some(self.image.layout.frame_addr(depth, ss.elem))
-                            );
-                            pc += 3;
-                            continue;
-                        }
-                        Step::LoadFFAluStoreFF {
-                            dst,
-                            ls,
-                            b,
-                            src,
-                            ss,
-                        } => {
-                            *at_mut(&mut frame.floats, *dst as usize) =
-                                *at(&frame.slots_float, ls.slot as usize);
-                            emit_at!(
-                                pc,
-                                0,
-                                Some(self.image.layout.frame_addr(depth, ls.elem)),
-                                None
-                            );
-                            halt_poll!();
-                            count_inst!();
-                            exec_float_alu(b, frame);
-                            emit_at!(pc, 1, None, None);
-                            halt_poll!();
-                            count_inst!();
-                            *at_mut(&mut frame.slots_float, ss.slot as usize) =
-                                float_src(*src, frame);
-                            emit_at!(
-                                pc,
-                                2,
-                                None,
-                                Some(self.image.layout.frame_addr(depth, ss.elem))
-                            );
-                            pc += 3;
                             continue;
                         }
                         // --- general (bank-table) steps ----------------------

@@ -37,23 +37,28 @@
 //!
 //! # Superinstruction fusion
 //!
-//! With `fuse` enabled (the default), a post-pass walks every basic block and
-//! fuses common adjacent step pairs into single dispatch points:
+//! [`ExecImage::new`] runs a post-pass that walks every basic block and
+//! fuses adjacent step shapes into single dispatch points.  Thirteen shapes
+//! are kept, each because it carries a measurable share of the report's
+//! dispatches (`step_histo` in `bsg-bench`):
 //!
-//! * two adjacent untagged integer ALU steps (`Step::IntPair`);
-//! * an integer ALU feeding the block's conditional branch
-//!   (`Step::IntCmpBr`) — every counted-loop header;
-//! * an integer ALU followed by the block's unconditional jump
-//!   (`Step::IntAluJump`) — every loop latch;
+//! * integer ALU chains: two adjacent untagged integer ALU steps
+//!   (`Step::IntPair`), and an integer ALU feeding the block's conditional
+//!   branch (`Step::IntCmpBr`) — every counted-loop header;
 //! * an untagged global load adjacent to an integer ALU
 //!   (`Step::LoadGIntAlu` / `Step::IntAluLoadG`) — address-generation and
 //!   load-consume idioms;
-//! * untagged **frame-slot** loads/stores adjacent to their ALU
-//!   (`Step::LoadFIntAlu`, `Step::IntAluStoreF`, `Step::LoadFFloatAlu`,
-//!   `Step::FloatAluStoreF`) and the three-step read-modify-write shape
-//!   (`Step::LoadFAluStoreF` / `Step::LoadFFAluStoreFF`) — `-O0` reloads
-//!   every scalar before use and spills it after every def, so frame-slot
-//!   traffic dominates `-O0` loop bodies.
+//! * `-O0` **int frame-slot** traffic, which dominates `-O0` loop bodies
+//!   because `-O0` reloads every scalar before use and spills it after every
+//!   def: a load or store adjacent to its ALU (`Step::LoadFIntAlu`,
+//!   `Step::IntAluStoreF`), the read-modify-write triple
+//!   (`Step::LoadFAluStoreF`), operand reloads (`Step::LoadFPairI`), the
+//!   statement boundary (`Step::StoreFLoadF`), an index reload feeding a
+//!   global load (`Step::LoadFILoadG`), the while-header
+//!   (`Step::LoadFCmpBr`) and the loop latch (`Step::StoreFIJump`);
+//! * two adjacent untagged float ALU steps (`Step::FloatPair`).
+//!
+//! Every other adjacency runs as its unfused steps.
 //!
 //! Fusion never changes observable semantics: the fused step replays each
 //! constituent's budget/halt protocol and observer events exactly as the
@@ -237,13 +242,6 @@ pub(crate) enum Step {
         /// Target when `ints[cond] == 0`.
         not_taken: EdgeTarget,
     },
-    /// Fused integer ALU + unconditional jump (loop latches).
-    IntAluJump {
-        /// The ALU constituent.
-        a: IntAlu,
-        /// Jump target.
-        target: EdgeTarget,
-    },
     /// Fused untagged global load + integer ALU.
     LoadGIntAlu {
         /// Load destination (int bank).
@@ -295,24 +293,6 @@ pub(crate) enum Step {
         /// Stored slot (int bank).
         ss: FrameSlot,
     },
-    /// Fused untagged float frame-slot load + float ALU.
-    LoadFFloatAlu {
-        /// Load destination (float bank).
-        dst: u32,
-        /// Loaded slot (float bank).
-        s: FrameSlot,
-        /// The float ALU constituent (at site `pc + 1`).
-        b: FloatAlu,
-    },
-    /// Fused float ALU + untagged float frame-slot store.
-    FloatAluStoreF {
-        /// The float ALU constituent (at this step's site).
-        a: FloatAlu,
-        /// Stored operand (float-provable).
-        src: FloatSrc,
-        /// Stored slot (float bank).
-        s: FrameSlot,
-    },
     /// Fused pair of adjacent untagged float ALUs (float expression chains:
     /// the multiply-add sequences of DFT/trig bodies).
     FloatPair(FloatAlu, FloatAlu),
@@ -343,55 +323,6 @@ pub(crate) enum Step {
         /// Loaded slot (int bank).
         ls: FrameSlot,
     },
-    /// Fused untagged int frame load + global store — load the index (or
-    /// stored) variable, then store to the array (`a[i] = e` at `-O0`).
-    LoadFIStoreG {
-        /// Frame-load destination (int bank).
-        dst: u32,
-        /// Loaded slot (int bank).
-        s: FrameSlot,
-        /// Stored operand (site `pc + 1`).
-        src: Operand,
-        /// Predecoded global reference.
-        mem: GlobalMem,
-    },
-    /// Fused pair of float ALUs + float frame store (`v = a*b + c*d` tails:
-    /// the pair fusion consumes the ALU the store would otherwise fuse with).
-    FloatPairStoreF {
-        /// First ALU constituent.
-        a: FloatAlu,
-        /// Second ALU constituent (site `pc + 1`).
-        b: FloatAlu,
-        /// Stored operand (float-provable; store at site `pc + 2`).
-        src: FloatSrc,
-        /// Stored slot (float bank).
-        s: FrameSlot,
-    },
-    /// Fused untagged global load + compare + conditional branch — loop
-    /// conditions over array elements (`while (tree[n] != 0)`).
-    LoadGCmpBr {
-        /// Load destination (int bank).
-        dst: u32,
-        /// Predecoded global reference.
-        mem: GlobalMem,
-        /// The compare constituent (at site `pc + 1`).
-        a: IntAlu,
-        /// Condition register (int bank).
-        cond: u32,
-        /// Target when `ints[cond] != 0`.
-        taken: EdgeTarget,
-        /// Target when `ints[cond] == 0`.
-        not_taken: EdgeTarget,
-    },
-    /// Fused untagged float global load + float ALU (`sig[t] * cr`).
-    LoadGFloatAlu {
-        /// Load destination (float bank).
-        dst: u32,
-        /// Predecoded global reference.
-        mem: GlobalMem,
-        /// The float ALU constituent (at site `pc + 1`).
-        b: FloatAlu,
-    },
     /// Fused pair of adjacent untagged int frame-slot loads (binary-operator
     /// operand reloads: `-O0` loads both variables of `a op b` back to back).
     LoadFPairI {
@@ -402,17 +333,6 @@ pub(crate) enum Step {
         /// Second load destination (int bank; site `pc + 1`).
         dst2: u32,
         /// Second loaded slot (int bank).
-        s2: FrameSlot,
-    },
-    /// Fused pair of adjacent untagged float frame-slot loads.
-    LoadFPairF {
-        /// First load destination (float bank).
-        dst1: u32,
-        /// First loaded slot (float bank).
-        s1: FrameSlot,
-        /// Second load destination (float bank; site `pc + 1`).
-        dst2: u32,
-        /// Second loaded slot (float bank).
         s2: FrameSlot,
     },
     /// Fused untagged frame load + compare + conditional branch — the `-O0`
@@ -440,38 +360,6 @@ pub(crate) enum Step {
         s: FrameSlot,
         /// Jump target (terminator at site `pc + 1`).
         target: EdgeTarget,
-    },
-    /// Fused triple: float frame load + float unary + float frame store —
-    /// `y = f(x)` over float `-O0` locals (`cr = cos(ang)` and friends).
-    LoadFUnFFStoreFF {
-        /// Load destination (float bank).
-        dst: u32,
-        /// Loaded slot (float bank).
-        ls: FrameSlot,
-        /// Unary operation (the `un_ff` subset; at site `pc + 1`).
-        op: UnOp,
-        /// Unary destination (float bank).
-        udst: u32,
-        /// Unary source (float bank).
-        usrc: u32,
-        /// Stored operand (float-provable; store at site `pc + 2`).
-        ssrc: FloatSrc,
-        /// Stored slot (float bank).
-        ss: FrameSlot,
-    },
-    /// Fused float read-modify-write triple: float frame load + float ALU +
-    /// float frame store (`x = x op e` on a float `-O0` local).
-    LoadFFAluStoreFF {
-        /// Load destination (float bank).
-        dst: u32,
-        /// Loaded slot (float bank).
-        ls: FrameSlot,
-        /// The float ALU constituent (at site `pc + 1`).
-        b: FloatAlu,
-        /// Stored operand (float-provable; store at site `pc + 2`).
-        src: FloatSrc,
-        /// Stored slot (float bank).
-        ss: FrameSlot,
     },
     /// Untagged float arithmetic (`Add`/`Sub`/`Mul`/`Div`/`Rem`), `f64` in,
     /// `f64` out.
@@ -685,27 +573,17 @@ impl Step {
             Step::IntAlu(_) => "IntAlu",
             Step::IntPair(..) => "IntPair",
             Step::IntCmpBr { .. } => "IntCmpBr",
-            Step::IntAluJump { .. } => "IntAluJump",
             Step::LoadGIntAlu { .. } => "LoadGIntAlu",
             Step::IntAluLoadG { .. } => "IntAluLoadG",
             Step::LoadFIntAlu { .. } => "LoadFIntAlu",
             Step::IntAluStoreF { .. } => "IntAluStoreF",
-            Step::LoadFFloatAlu { .. } => "LoadFFloatAlu",
-            Step::FloatAluStoreF { .. } => "FloatAluStoreF",
             Step::FloatPair(..) => "FloatPair",
-            Step::LoadFIStoreG { .. } => "LoadFIStoreG",
-            Step::FloatPairStoreF { .. } => "FloatPairStoreF",
-            Step::LoadGCmpBr { .. } => "LoadGCmpBr",
             Step::LoadFILoadG { .. } => "LoadFILoadG",
             Step::StoreFLoadF { .. } => "StoreFLoadF",
-            Step::LoadGFloatAlu { .. } => "LoadGFloatAlu",
             Step::LoadFAluStoreF { .. } => "LoadFAluStoreF",
             Step::LoadFPairI { .. } => "LoadFPairI",
-            Step::LoadFPairF { .. } => "LoadFPairF",
             Step::LoadFCmpBr { .. } => "LoadFCmpBr",
             Step::StoreFIJump { .. } => "StoreFIJump",
-            Step::LoadFUnFFStoreFF { .. } => "LoadFUnFFStoreFF",
-            Step::LoadFFAluStoreFF { .. } => "LoadFFAluStoreFF",
             Step::FloatAlu(_) => "FloatAlu",
             Step::FloatCmp(_) => "FloatCmp",
             Step::UnII { .. } => "UnII",
@@ -747,23 +625,11 @@ impl Step {
             | Step::LoadFIntAlu { .. }
             | Step::IntAluStoreF { .. }
             | Step::LoadFPairI { .. }
-            | Step::LoadFPairF { .. }
-            | Step::LoadFFloatAlu { .. }
-            | Step::FloatAluStoreF { .. }
             | Step::FloatPair(..)
-            | Step::LoadFIStoreG { .. }
             | Step::LoadFILoadG { .. }
-            | Step::StoreFLoadF { .. }
-            | Step::LoadGFloatAlu { .. } => Some(2),
-            Step::LoadFAluStoreF { .. }
-            | Step::LoadFFAluStoreFF { .. }
-            | Step::FloatPairStoreF { .. }
-            | Step::LoadFUnFFStoreFF { .. } => Some(3),
-            Step::IntCmpBr { .. }
-            | Step::IntAluJump { .. }
-            | Step::LoadFCmpBr { .. }
-            | Step::LoadGCmpBr { .. }
-            | Step::StoreFIJump { .. } => None,
+            | Step::StoreFLoadF { .. } => Some(2),
+            Step::LoadFAluStoreF { .. } => Some(3),
+            Step::IntCmpBr { .. } | Step::LoadFCmpBr { .. } | Step::StoreFIJump { .. } => None,
             _ => Some(1),
         }
     }
@@ -1597,10 +1463,6 @@ fn fuse_blocks(steps: &mut [Step], funcs: &[FuncImage]) -> u32 {
                             taken: *taken,
                             not_taken: *not_taken,
                         }),
-                        (Step::IntAlu(a), Step::Jump(target)) => Some(Step::IntAluJump {
-                            a: *a,
-                            target: *target,
-                        }),
                         // Loop latches: spill the induction/accumulator
                         // variable, jump back to the header.
                         (Step::StoreFI { src, s }, Step::Jump(target)) => Some(Step::StoreFIJump {
@@ -1616,113 +1478,48 @@ fn fuse_blocks(steps: &mut [Step], funcs: &[FuncImage]) -> u32 {
                     }
                     break;
                 }
-                // Last-two body steps + terminator: three-way fusions.
+                // The -O0 while-header: reload the induction variable,
+                // compare, branch.
                 if i + 2 == term {
-                    let replacement = match (&steps[i], &steps[i + 1], &steps[term]) {
-                        // The -O0 while-header: reload the induction
-                        // variable, compare, branch.
-                        (
-                            Step::LoadFI { dst, s },
-                            Step::IntAlu(a),
-                            Step::Branch {
-                                cond,
-                                bank: RegBank::Int,
-                                taken,
-                                not_taken,
-                            },
-                        ) => Some(Step::LoadFCmpBr {
+                    if let (
+                        Step::LoadFI { dst, s },
+                        Step::IntAlu(a),
+                        Step::Branch {
+                            cond,
+                            bank: RegBank::Int,
+                            taken,
+                            not_taken,
+                        },
+                    ) = (&steps[i], &steps[i + 1], &steps[term])
+                    {
+                        steps[i] = Step::LoadFCmpBr {
                             dst: *dst,
                             s: *s,
                             a: *a,
                             cond: *cond,
                             taken: *taken,
                             not_taken: *not_taken,
-                        }),
-                        // Loop conditions over array elements.
-                        (
-                            Step::LoadGlobal {
-                                dst,
-                                bank: RegBank::Int,
-                                mem,
-                            },
-                            Step::IntAlu(a),
-                            Step::Branch {
-                                cond,
-                                bank: RegBank::Int,
-                                taken,
-                                not_taken,
-                            },
-                        ) => Some(Step::LoadGCmpBr {
-                            dst: *dst,
-                            mem: *mem,
-                            a: *a,
-                            cond: *cond,
-                            taken: *taken,
-                            not_taken: *not_taken,
-                        }),
-                        _ => None,
-                    };
-                    if let Some(r) = replacement {
-                        steps[i] = r;
+                        };
                         fused += 1;
                         break;
                     }
                 }
-                // Read-modify-write triples over one frame slot bank (the
+                // The read-modify-write triple over one int frame slot (the
                 // `-O0` `x = x op e` shape), strictly inside the body.
                 if i + 2 < term {
-                    let replacement = match (&steps[i], &steps[i + 1], &steps[i + 2]) {
-                        (
-                            Step::LoadFI { dst, s },
-                            Step::IntAlu(b),
-                            Step::StoreFI { src, s: ss },
-                        ) => Some(Step::LoadFAluStoreF {
+                    if let (
+                        Step::LoadFI { dst, s },
+                        Step::IntAlu(b),
+                        Step::StoreFI { src, s: ss },
+                    ) = (&steps[i], &steps[i + 1], &steps[i + 2])
+                    {
+                        steps[i] = Step::LoadFAluStoreF {
                             dst: *dst,
                             ls: *s,
                             b: *b,
                             src: *src,
                             ss: *ss,
-                        }),
-                        (
-                            Step::LoadFF { dst, s },
-                            Step::FloatAlu(b),
-                            Step::StoreFF { src, s: ss },
-                        ) => Some(Step::LoadFFAluStoreFF {
-                            dst: *dst,
-                            ls: *s,
-                            b: *b,
-                            src: *src,
-                            ss: *ss,
-                        }),
-                        (Step::FloatAlu(a), Step::FloatAlu(b), Step::StoreFF { src, s }) => {
-                            Some(Step::FloatPairStoreF {
-                                a: *a,
-                                b: *b,
-                                src: *src,
-                                s: *s,
-                            })
-                        }
-                        (
-                            Step::LoadFF { dst, s },
-                            Step::UnFF {
-                                op,
-                                dst: udst,
-                                src: usrc,
-                            },
-                            Step::StoreFF { src, s: ss },
-                        ) => Some(Step::LoadFUnFFStoreFF {
-                            dst: *dst,
-                            ls: *s,
-                            op: *op,
-                            udst: *udst,
-                            usrc: *usrc,
-                            ssrc: *src,
-                            ss: *ss,
-                        }),
-                        _ => None,
-                    };
-                    if let Some(r) = replacement {
-                        steps[i] = r;
+                        };
                         fused += 1;
                         i += 3;
                         continue;
@@ -1737,16 +1534,6 @@ fn fuse_blocks(steps: &mut [Step], funcs: &[FuncImage]) -> u32 {
                         b: *b,
                     }),
                     (Step::IntAlu(a), Step::StoreFI { src, s }) => Some(Step::IntAluStoreF {
-                        a: *a,
-                        src: *src,
-                        s: *s,
-                    }),
-                    (Step::LoadFF { dst, s }, Step::FloatAlu(b)) => Some(Step::LoadFFloatAlu {
-                        dst: *dst,
-                        s: *s,
-                        b: *b,
-                    }),
-                    (Step::FloatAlu(a), Step::StoreFF { src, s }) => Some(Step::FloatAluStoreF {
                         a: *a,
                         src: *src,
                         s: *s,
@@ -1774,36 +1561,8 @@ fn fuse_blocks(steps: &mut [Step], funcs: &[FuncImage]) -> u32 {
                             ls: *ls,
                         })
                     }
-                    (Step::LoadFI { dst, s }, Step::StoreGlobal { src, mem }) => {
-                        Some(Step::LoadFIStoreG {
-                            dst: *dst,
-                            s: *s,
-                            src: *src,
-                            mem: *mem,
-                        })
-                    }
-                    (
-                        Step::LoadGlobal {
-                            dst,
-                            bank: RegBank::Float,
-                            mem,
-                        },
-                        Step::FloatAlu(b),
-                    ) => Some(Step::LoadGFloatAlu {
-                        dst: *dst,
-                        mem: *mem,
-                        b: *b,
-                    }),
                     (Step::LoadFI { dst: dst1, s: s1 }, Step::LoadFI { dst: dst2, s: s2 }) => {
                         Some(Step::LoadFPairI {
-                            dst1: *dst1,
-                            s1: *s1,
-                            dst2: *dst2,
-                            s2: *s2,
-                        })
-                    }
-                    (Step::LoadFF { dst: dst1, s: s1 }, Step::LoadFF { dst: dst2, s: s2 }) => {
-                        Some(Step::LoadFPairF {
                             dst1: *dst1,
                             s1: *s1,
                             dst2: *dst2,
@@ -2002,7 +1761,7 @@ mod tests {
         let fused = ExecImage::new(&p);
         let unfused = ExecImage::unfused(&p);
         assert_eq!(unfused.num_fused(), 0);
-        // Header: cmp+branch.  Body: add+add pair (or add + latch jump).
+        // Header: cmp+branch.  Body: add+add pair.
         assert!(
             fused.num_fused() >= 2,
             "expected the loop header and body to fuse, got {}",
@@ -2017,6 +1776,50 @@ mod tests {
         assert!(fused
             .edge_index(FuncId(0), BlockId(1), BlockId(2))
             .is_some());
+    }
+
+    /// Every fused shape the pass emits fires on the small registry's
+    /// originals at some optimization level on some ISA, and no other shape
+    /// does: a shape missing here is dead code, and a new one must be
+    /// listed (and measured with `step_histo`) before it lands.
+    #[test]
+    fn every_kept_superinstruction_fires_on_the_registry() {
+        use bsg_compiler::{compile, CompileOptions, OptLevel, TargetIsa};
+        use std::collections::BTreeSet;
+        let mut heads = BTreeSet::new();
+        for w in bsg_workloads::suite(bsg_workloads::InputSize::Small) {
+            for opt in OptLevel::ALL {
+                for isa in TargetIsa::ALL {
+                    let compiled = compile(&w.program, &CompileOptions::new(opt, isa))
+                        .unwrap_or_else(|e| panic!("{} {opt} {isa:?}: {e:?}", w.name));
+                    let image = ExecImage::new(&compiled.program);
+                    heads.extend(
+                        image
+                            .steps
+                            .iter()
+                            .filter(|s| s.footprint() != Some(1))
+                            .map(Step::variant_name),
+                    );
+                }
+            }
+        }
+        let kept: BTreeSet<&str> = [
+            "IntPair",
+            "IntCmpBr",
+            "LoadGIntAlu",
+            "IntAluLoadG",
+            "LoadFIntAlu",
+            "IntAluStoreF",
+            "LoadFAluStoreF",
+            "FloatPair",
+            "LoadFILoadG",
+            "StoreFLoadF",
+            "LoadFPairI",
+            "LoadFCmpBr",
+            "StoreFIJump",
+        ]
+        .into();
+        assert_eq!(heads, kept);
     }
 
     #[test]

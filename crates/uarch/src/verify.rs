@@ -648,7 +648,6 @@ pub(crate) fn decompose(step: &Step) -> Option<(Vec<Step>, bool)> {
                 not_taken: *not_taken,
             },
         ],
-        Step::IntAluJump { a, target } => vec![Step::IntAlu(*a), Step::Jump(*target)],
         Step::LoadGIntAlu { dst, mem, b } => vec![
             Step::LoadGlobal {
                 dst: *dst,
@@ -682,12 +681,6 @@ pub(crate) fn decompose(step: &Step) -> Option<(Vec<Step>, bool)> {
             Step::IntAlu(*b),
             Step::StoreFI { src: *src, s: *ss },
         ],
-        Step::LoadFFloatAlu { dst, s, b } => {
-            vec![Step::LoadFF { dst: *dst, s: *s }, Step::FloatAlu(*b)]
-        }
-        Step::FloatAluStoreF { a, src, s } => {
-            vec![Step::FloatAlu(*a), Step::StoreFF { src: *src, s: *s }]
-        }
         Step::FloatPair(a, b) => vec![Step::FloatAlu(*a), Step::FloatAlu(*b)],
         Step::LoadFILoadG {
             dst1,
@@ -707,54 +700,9 @@ pub(crate) fn decompose(step: &Step) -> Option<(Vec<Step>, bool)> {
             Step::StoreFI { src: *src, s: *ss },
             Step::LoadFI { dst: *dst, s: *ls },
         ],
-        Step::LoadFIStoreG { dst, s, src, mem } => vec![
-            Step::LoadFI { dst: *dst, s: *s },
-            Step::StoreGlobal {
-                src: *src,
-                mem: *mem,
-            },
-        ],
-        Step::FloatPairStoreF { a, b, src, s } => vec![
-            Step::FloatAlu(*a),
-            Step::FloatAlu(*b),
-            Step::StoreFF { src: *src, s: *s },
-        ],
-        Step::LoadGCmpBr {
-            dst,
-            mem,
-            a,
-            cond,
-            taken,
-            not_taken,
-        } => vec![
-            Step::LoadGlobal {
-                dst: *dst,
-                bank: RegBank::Int,
-                mem: *mem,
-            },
-            Step::IntAlu(*a),
-            Step::Branch {
-                cond: *cond,
-                bank: RegBank::Int,
-                taken: *taken,
-                not_taken: *not_taken,
-            },
-        ],
-        Step::LoadGFloatAlu { dst, mem, b } => vec![
-            Step::LoadGlobal {
-                dst: *dst,
-                bank: RegBank::Float,
-                mem: *mem,
-            },
-            Step::FloatAlu(*b),
-        ],
         Step::LoadFPairI { dst1, s1, dst2, s2 } => vec![
             Step::LoadFI { dst: *dst1, s: *s1 },
             Step::LoadFI { dst: *dst2, s: *s2 },
-        ],
-        Step::LoadFPairF { dst1, s1, dst2, s2 } => vec![
-            Step::LoadFF { dst: *dst1, s: *s1 },
-            Step::LoadFF { dst: *dst2, s: *s2 },
         ],
         Step::LoadFCmpBr {
             dst,
@@ -776,34 +724,6 @@ pub(crate) fn decompose(step: &Step) -> Option<(Vec<Step>, bool)> {
         Step::StoreFIJump { src, s, target } => {
             vec![Step::StoreFI { src: *src, s: *s }, Step::Jump(*target)]
         }
-        Step::LoadFUnFFStoreFF {
-            dst,
-            ls,
-            op,
-            udst,
-            usrc,
-            ssrc,
-            ss,
-        } => vec![
-            Step::LoadFF { dst: *dst, s: *ls },
-            Step::UnFF {
-                op: *op,
-                dst: *udst,
-                src: *usrc,
-            },
-            Step::StoreFF { src: *ssrc, s: *ss },
-        ],
-        Step::LoadFFAluStoreFF {
-            dst,
-            ls,
-            b,
-            src,
-            ss,
-        } => vec![
-            Step::LoadFF { dst: *dst, s: *ls },
-            Step::FloatAlu(*b),
-            Step::StoreFF { src: *src, s: *ss },
-        ],
         _ => return None,
     };
     Some((parts, absorbs))
@@ -2346,19 +2266,12 @@ fn first_slot_mut(step: &mut Step) -> Option<&mut FrameSlot> {
         | Step::StoreFI { s, .. }
         | Step::StoreFF { s, .. }
         | Step::LoadFIntAlu { s, .. }
-        | Step::LoadFFloatAlu { s, .. }
         | Step::IntAluStoreF { s, .. }
-        | Step::FloatAluStoreF { s, .. }
         | Step::LoadFILoadG { s1: s, .. }
         | Step::StoreFLoadF { ss: s, .. }
-        | Step::LoadFIStoreG { s, .. }
-        | Step::FloatPairStoreF { s, .. }
         | Step::LoadFPairI { s1: s, .. }
-        | Step::LoadFPairF { s1: s, .. }
         | Step::LoadFCmpBr { s, .. }
         | Step::StoreFIJump { s, .. }
-        | Step::LoadFUnFFStoreFF { ls: s, .. }
-        | Step::LoadFFAluStoreFF { ls: s, .. }
         | Step::LoadFAluStoreF { ls: s, .. } => Some(s),
         _ => None,
     }
@@ -2366,13 +2279,10 @@ fn first_slot_mut(step: &mut Step) -> Option<&mut FrameSlot> {
 
 fn first_edge_mut(step: &mut Step) -> Option<&mut EdgeTarget> {
     match step {
-        Step::Jump(t)
-        | Step::IntAluJump { target: t, .. }
-        | Step::StoreFIJump { target: t, .. } => Some(t),
+        Step::Jump(t) | Step::StoreFIJump { target: t, .. } => Some(t),
         Step::Branch { taken: t, .. }
         | Step::IntCmpBr { taken: t, .. }
-        | Step::LoadFCmpBr { taken: t, .. }
-        | Step::LoadGCmpBr { taken: t, .. } => Some(t),
+        | Step::LoadFCmpBr { taken: t, .. } => Some(t),
         _ => None,
     }
 }
@@ -2382,14 +2292,9 @@ fn first_dst_mut(step: &mut Step) -> Option<&mut u32> {
         Step::IntAlu(a)
         | Step::IntPair(a, _)
         | Step::IntCmpBr { a, .. }
-        | Step::IntAluJump { a, .. }
         | Step::IntAluLoadG { a, .. }
         | Step::IntAluStoreF { a, .. } => Some(&mut a.dst),
-        Step::FloatAlu(a)
-        | Step::FloatCmp(a)
-        | Step::FloatPair(a, _)
-        | Step::FloatAluStoreF { a, .. }
-        | Step::FloatPairStoreF { a, .. } => Some(&mut a.dst),
+        Step::FloatAlu(a) | Step::FloatCmp(a) | Step::FloatPair(a, _) => Some(&mut a.dst),
         Step::UnII { dst, .. }
         | Step::UnFF { dst, .. }
         | Step::UnIF { dst, .. }
@@ -2407,18 +2312,10 @@ fn first_dst_mut(step: &mut Step) -> Option<&mut u32> {
         | Step::LoadFrame { dst, .. }
         | Step::LoadGIntAlu { dst, .. }
         | Step::LoadFIntAlu { dst, .. }
-        | Step::LoadFFloatAlu { dst, .. }
-        | Step::LoadGFloatAlu { dst, .. }
         | Step::LoadFCmpBr { dst, .. }
-        | Step::LoadGCmpBr { dst, .. }
         | Step::LoadFAluStoreF { dst, .. }
-        | Step::LoadFFAluStoreFF { dst, .. }
-        | Step::LoadFUnFFStoreFF { dst, .. }
-        | Step::StoreFLoadF { dst, .. }
-        | Step::LoadFIStoreG { dst, .. } => Some(dst),
-        Step::LoadFILoadG { dst1, .. }
-        | Step::LoadFPairI { dst1, .. }
-        | Step::LoadFPairF { dst1, .. } => Some(dst1),
+        | Step::StoreFLoadF { dst, .. } => Some(dst),
+        Step::LoadFILoadG { dst1, .. } | Step::LoadFPairI { dst1, .. } => Some(dst1),
         _ => None,
     }
 }
@@ -2429,10 +2326,7 @@ fn first_gmem_mut(step: &mut Step) -> Option<&mut GlobalMem> {
         | Step::StoreGlobal { mem, .. }
         | Step::LoadGIntAlu { mem, .. }
         | Step::IntAluLoadG { mem, .. }
-        | Step::LoadFILoadG { mem, .. }
-        | Step::LoadFIStoreG { mem, .. }
-        | Step::LoadGCmpBr { mem, .. }
-        | Step::LoadGFloatAlu { mem, .. } => Some(mem),
+        | Step::LoadFILoadG { mem, .. } => Some(mem),
         _ => None,
     }
 }
@@ -2501,7 +2395,7 @@ pub fn corrupt_image(
             _ => false,
         }),
         Corruption::DroppedBudgetArm => img.steps.iter_mut().any(|step| match step {
-            Step::IntAluJump { target, .. } | Step::StoreFIJump { target, .. } => {
+            Step::StoreFIJump { target, .. } => {
                 *step = Step::Jump(*target);
                 true
             }
@@ -2520,13 +2414,6 @@ pub fn corrupt_image(
                 true
             }
             Step::LoadFCmpBr {
-                a,
-                cond,
-                taken,
-                not_taken,
-                ..
-            }
-            | Step::LoadGCmpBr {
                 a,
                 cond,
                 taken,

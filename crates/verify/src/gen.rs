@@ -258,11 +258,12 @@ impl Gen {
 /// Generates an `-O0`-shaped program: a counted loop whose body is made of
 /// frame-slot read-modify-write fragments over a **mixed int/float** frame —
 /// the exact shapes the per-slot typing untags and the frame-fusion pass
-/// collapses (`LoadFCmpBr` headers, `LoadFAluStoreF`/`LoadFFAluStoreFF`/
-/// `LoadFUnFFStoreFF` bodies, `StoreFIJump` latches, slot-load pairs) — plus
-/// register-indexed (dynamic) frame and global traffic, and slots that are
-/// deliberately left to their implicit `Int(0)` initialization so the
-/// init-observability analysis is exercised in both directions.
+/// collapses (`LoadFCmpBr` headers, `LoadFAluStoreF` int bodies,
+/// `LoadFILoadG` index reloads, `StoreFIJump` latches; float bodies run as
+/// unfused untagged float-slot steps) — plus register-indexed (dynamic)
+/// frame and global traffic, and slots that are deliberately left to their
+/// implicit `Int(0)` initialization so the init-observability analysis is
+/// exercised in both directions.
 pub fn o0_frame_program(seed: u64) -> Program {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut p = Program::new();
@@ -367,7 +368,8 @@ pub fn o0_frame_program(seed: u64) -> Program {
                     ty: Ty::Int,
                 });
             }
-            // Float RMW (ALU or unary): load -> op -> store.
+            // Float RMW (ALU or unary): load -> op -> store, unfused (no
+            // fused shape addresses a float slot).
             2 | 3 if !float_slots.is_empty() => {
                 let s = float_slots[rng.gen_range(0usize..float_slots.len())];
                 let d = float_slots[rng.gen_range(0usize..float_slots.len())];
@@ -430,7 +432,8 @@ pub fn o0_frame_program(seed: u64) -> Program {
                     });
                 }
             }
-            // Indexed global traffic (LoadFILoadG / LoadFIStoreG shapes).
+            // Indexed global traffic: an index reload feeding a global load
+            // (LoadFILoadG), then an unfused indexed store.
             _ => {
                 let idx = f.fresh_reg();
                 let v = f.fresh_reg();
