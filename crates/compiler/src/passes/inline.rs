@@ -130,7 +130,6 @@ fn splice(
             Inst::Print { src } => Inst::Print {
                 src: rename_operand(*src),
             },
-            Inst::Nop => Inst::Nop,
         }
     };
 

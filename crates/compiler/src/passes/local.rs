@@ -90,7 +90,6 @@ pub fn propagate_copies(program: &mut Program) -> usize {
                             resolve(&copies, a, &mut rewritten);
                         }
                     }
-                    Inst::Nop => {}
                 }
                 // Then update the copy facts with this instruction's def.
                 if let Some(def) = inst.def() {

@@ -652,7 +652,6 @@ crate::codec_layout!(enum Inst {
     4 => Store { src, addr, ty },
     5 => Call { func, args, dst },
     6 => Print { src },
-    7 => Nop,
 });
 
 crate::codec_layout!(enum Terminator {
@@ -781,7 +780,6 @@ mod tests {
                     dst: Some(b),
                 },
                 Inst::Print { src: a.into() },
-                Inst::Nop,
             ];
             f.blocks[body.index()].term = Terminator::Branch {
                 cond: a,

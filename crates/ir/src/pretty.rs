@@ -62,7 +62,6 @@ pub fn dump_inst(inst: &Inst) -> String {
             }
         }
         Inst::Print { src } => format!("print {src}"),
-        Inst::Nop => "nop".to_string(),
     }
 }
 
@@ -120,7 +119,6 @@ mod tests {
                 ty: Ty::Int,
             },
             Inst::Print { src: r1.into() },
-            Inst::Nop,
             Inst::Call {
                 func: crate::FuncId(0),
                 args: vec![],
@@ -136,7 +134,6 @@ mod tests {
         assert!(text.contains("load"));
         assert!(text.contains("store"));
         assert!(text.contains("print"));
-        assert!(text.contains("nop"));
         assert!(text.contains("call"));
         assert!(text.contains("return r1"));
         // Display impl on Program goes through dump_program.

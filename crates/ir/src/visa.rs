@@ -388,8 +388,6 @@ pub enum Inst {
         /// Value printed.
         src: Operand,
     },
-    /// No operation (EPIC bundle padding).
-    Nop,
 }
 
 impl Inst {
@@ -401,7 +399,7 @@ impl Inst {
             | Inst::Mov { dst, .. }
             | Inst::Load { dst, .. } => Some(*dst),
             Inst::Call { dst, .. } => *dst,
-            Inst::Store { .. } | Inst::Print { .. } | Inst::Nop => None,
+            Inst::Store { .. } | Inst::Print { .. } => None,
         }
     }
 
@@ -428,7 +426,6 @@ impl Inst {
             Inst::Load { addr, .. } => ([addr.index, None, None], &[]),
             Inst::Store { src, addr, .. } => ([op_reg(src), addr.index, None], &[]),
             Inst::Call { args, .. } => ([None; 3], args.as_slice()),
-            Inst::Nop => ([None; 3], &[]),
         };
         fixed
             .into_iter()
@@ -444,7 +441,6 @@ impl Inst {
             Inst::Un { src, .. } | Inst::Mov { src, .. } | Inst::Print { src } => src.is_mem(),
             Inst::Store { src, .. } => src.is_mem(),
             Inst::Call { args, .. } => args.iter().any(Operand::is_mem),
-            Inst::Nop => false,
         }
     }
 
@@ -485,7 +481,6 @@ impl Inst {
             Inst::Mov { .. } => InstClass::IntAlu,
             Inst::Call { .. } => InstClass::Call,
             Inst::Print { .. } => InstClass::Other,
-            Inst::Nop => InstClass::Other,
         }
     }
 
@@ -497,7 +492,6 @@ impl Inst {
             Inst::Load { .. } => vec![OperandKind::Memory],
             Inst::Store { src, .. } => vec![src.kind(), OperandKind::Memory],
             Inst::Call { args, .. } => args.iter().map(Operand::kind).collect(),
-            Inst::Nop => Vec::new(),
         }
     }
 }
@@ -526,7 +520,7 @@ pub enum InstClass {
     FpDiv,
     /// Function call.
     Call,
-    /// Anything else (nop, print).
+    /// Anything else (print).
     Other,
 }
 

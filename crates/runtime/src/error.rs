@@ -6,22 +6,25 @@
 //! and a disk-tier IO error was either swallowed or fatal.  A long-running
 //! service (the ROADMAP's `bsg-server` item) cannot be built on any of
 //! those behaviours, so faults are now **values**: every isolation boundary
-//! (scheduler task, store build slot, disk operation) converts its failure
-//! into a [`BsgError`] and hands it to the caller in submission order,
-//! leaving every *other* task, slot and tier untouched.
+//! (scheduler task, store build slot) converts its failure into a
+//! [`BsgError`] and hands it to the caller in submission order, leaving
+//! every *other* task and slot untouched; the disk tier absorbs its IO
+//! errors as cache misses.
 //!
-//! The taxonomy is deliberately small — six variants, one per isolation
-//! boundary ([`BsgError::InvalidRequest`] and [`BsgError::Overloaded`]
-//! guard the server's wire boundary) — and `Clone`-able, because the store
+//! The taxonomy is deliberately small — five variants
+//! ([`BsgError::InvalidRequest`] and [`BsgError::Overloaded`] guard the
+//! server's wire boundary) — and `Clone`-able, because the store
 //! memoizes a failure per key and serves the same error value to every
 //! waiter (see `store::SlotState`).
 //!
 //! Errors also cross process boundaries: `bsg-server` replies to a failed
 //! request with the canonical byte encoding of its `BsgError`, so the type
 //! implements [`Canon`]/[`Decanon`].  The encoding is lossless for every
-//! error the runtime itself produces; the two `&'static str` fields
-//! (`BuildFailed::kind`, `Io::op`) are interned back to the runtime's known
-//! strings on decode, with a generic fallback for values minted elsewhere.
+//! error the runtime itself produces; the `&'static str` field
+//! `BuildFailed::kind` is interned back to the store's known kind strings on
+//! decode, with a generic fallback for values minted elsewhere.  Wire tag 2
+//! belonged to a since-deleted IO variant and stays unused, so every other
+//! variant keeps its encoding.
 
 use bsg_ir::codec::{Canon, CanonReader, CanonWrite, Decanon};
 use std::any::Any;
@@ -54,17 +57,6 @@ pub enum BsgError {
         /// with disk-tier entries and logs.
         key: String,
         /// The underlying failure, rendered to text.
-        message: String,
-    },
-    /// An IO operation failed in a context where it cannot be silently
-    /// absorbed (the disk *cache* absorbs IO errors by design; this variant
-    /// exists for callers that surface them, e.g. figure writers).
-    Io {
-        /// What was being attempted (`read`, `write`, `rename`, ...).
-        op: &'static str,
-        /// The path involved, if known.
-        path: String,
-        /// The OS error, rendered to text.
         message: String,
     },
     /// A task exceeded the per-task deadline configured via
@@ -108,9 +100,6 @@ impl fmt::Display for BsgError {
             BsgError::BuildFailed { kind, key, message } => {
                 write!(f, "{kind} artifact build failed for key {key}: {message}")
             }
-            BsgError::Io { op, path, message } => {
-                write!(f, "io error during {op} of {path}: {message}")
-            }
             BsgError::DeadlineExceeded {
                 elapsed_ms,
                 deadline_ms,
@@ -142,19 +131,6 @@ fn intern_kind(s: &str) -> &'static str {
     }
 }
 
-/// Interns a decoded `Io::op` back to the runtime's known operation names;
-/// unknown values fall back to `"io"`.
-fn intern_op(s: &str) -> &'static str {
-    match s {
-        "read" => "read",
-        "write" => "write",
-        "rename" => "rename",
-        "open" => "open",
-        "remove" => "remove",
-        _ => "io",
-    }
-}
-
 // Hand-written: the decode re-interns the `&'static str` fields.
 impl Canon for BsgError {
     fn canon(&self, w: &mut dyn CanonWrite) {
@@ -167,12 +143,6 @@ impl Canon for BsgError {
                 w.write(&[1]);
                 kind.canon(w);
                 key.canon(w);
-                message.canon(w);
-            }
-            BsgError::Io { op, path, message } => {
-                w.write(&[2]);
-                op.canon(w);
-                path.canon(w);
                 message.canon(w);
             }
             BsgError::DeadlineExceeded {
@@ -205,11 +175,6 @@ impl Decanon for BsgError {
             1 => Some(BsgError::BuildFailed {
                 kind: intern_kind(&String::decanon(r)?),
                 key: String::decanon(r)?,
-                message: String::decanon(r)?,
-            }),
-            2 => Some(BsgError::Io {
-                op: intern_op(&String::decanon(r)?),
-                path: String::decanon(r)?,
                 message: String::decanon(r)?,
             }),
             3 => Some(BsgError::DeadlineExceeded {
@@ -304,11 +269,6 @@ mod tests {
                 kind: "profile",
                 key: "00ff".into(),
                 message: "builder failed".into(),
-            },
-            BsgError::Io {
-                op: "rename",
-                path: "/tmp/x".into(),
-                message: "ENOSPC".into(),
             },
             BsgError::DeadlineExceeded {
                 elapsed_ms: 10,

@@ -97,15 +97,17 @@ impl From<io::Error> for ClientError {
     }
 }
 
-/// Retry tuning for [`Client::call_with_retry`].
+/// Attempts [`Client::call_with_retry`] makes beyond the first.
+const MAX_RETRIES: u32 = 3;
+/// Backoff before the first retry; doubles each retry after that.
+const BASE_DELAY: Duration = Duration::from_millis(10);
+/// Upper bound on any single backoff sleep.
+const MAX_DELAY: Duration = Duration::from_millis(500);
+
+/// Retry tuning for [`Client::call_with_retry`]: up to `MAX_RETRIES` (3)
+/// retries, backing off from 10 ms up to 500 ms.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
-    /// Attempts beyond the first (0 disables retries entirely).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles each retry after that.
-    pub base_delay: Duration,
-    /// Upper bound on any single backoff sleep.
-    pub max_delay: Duration,
     /// Seed for the deterministic jitter stream, so tests and the load
     /// harness can reproduce exact sleep sequences.
     pub jitter_seed: u64,
@@ -114,9 +116,6 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
-            max_retries: 3,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(500),
             jitter_seed: 0x5eed_cafe_f00d_d00d,
         }
     }
@@ -124,14 +123,13 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// The backoff before retry number `attempt` (1-based): exponential
-    /// doubling from `base_delay`, capped at `max_delay`, with ±25%
+    /// doubling from `BASE_DELAY`, capped at `MAX_DELAY`, with ±25%
     /// deterministic xorshift jitter so synchronized clients desynchronize
     /// instead of re-colliding every backoff round.
     pub fn backoff(&self, attempt: u32) -> Duration {
-        let exp = self
-            .base_delay
+        let exp = BASE_DELAY
             .saturating_mul(1u32 << attempt.saturating_sub(1).min(16))
-            .min(self.max_delay);
+            .min(MAX_DELAY);
         let nanos = exp.as_nanos() as u64;
         // xorshift64* on (seed ^ attempt): cheap, deterministic, and good
         // enough to spread a burst of shed clients across the window.
@@ -247,7 +245,7 @@ impl<S: Read + Write> Client<S> {
         loop {
             let outcome = self.call(request);
             let retryable = request.is_idempotent()
-                && attempt < policy.max_retries
+                && attempt < MAX_RETRIES
                 && matches!(
                     &outcome,
                     Ok(Err(BsgError::Overloaded { .. }))
@@ -277,18 +275,12 @@ mod tests {
             // Same seed, same attempt: identical sleep.
             assert_eq!(d, again.backoff(attempt));
             // Jitter stays within ±25% of the capped exponential.
-            let exp = policy
-                .base_delay
-                .saturating_mul(1 << (attempt - 1))
-                .min(policy.max_delay);
+            let exp = BASE_DELAY.saturating_mul(1 << (attempt - 1)).min(MAX_DELAY);
             assert!(d >= exp - exp / 4, "attempt {attempt}: {d:?} < -25%");
             assert!(d <= exp + exp / 4, "attempt {attempt}: {d:?} > +25%");
         }
         // Different seeds desynchronize.
-        let other = RetryPolicy {
-            jitter_seed: 42,
-            ..RetryPolicy::default()
-        };
+        let other = RetryPolicy { jitter_seed: 42 };
         assert_ne!(policy.backoff(3), other.backoff(3));
     }
 

@@ -413,7 +413,6 @@ pub fn run_chaos_soak(addr: &str, seconds: u64, fault_target: Option<&str>) -> S
                 let mut transport_errors = 0u64;
                 let policy = RetryPolicy {
                     jitter_seed: 0xC0FFEE ^ client as u64,
-                    ..RetryPolicy::default()
                 };
                 let mut connection = None;
                 let mut r = 0usize;

@@ -89,11 +89,12 @@
 //!     register is float-banked; float slots additionally never observe
 //!     their missing zero-fill because the type analysis proved every read
 //!     is preceded by a store (`typing::frame_entry_live`).
-//!   - Register-only untagged shapes — `UnIF` (int source, float
-//!     destination), `FloatPair` (float banks throughout), the `LoadGIntAlu`/
-//!     `IntAluLoadG`/`LoadFILoadG` global constituents (validated like
-//!     every `GlobalMem`): registers were bank-checked at decode exactly as
-//!     for their unfused forms.
+//!   - Register-only untagged shapes — `IntAlu`/`IntPair` and
+//!     `IMovI`/`IMovRR` (int banks throughout), `FloatAlu`/`FloatPair`
+//!     (float destination; an int-banked source is read with `as f64`), the
+//!     `LoadGIntAlu`/`IntAluLoadG`/`LoadFILoadG` global constituents
+//!     (validated like every `GlobalMem`): registers were bank-checked at
+//!     decode exactly as for their unfused forms.
 //!   - `LoadFrame`/`StoreFrame` (general): every slot index is wrapped below
 //!     `nslots` at run time and dispatched through `slot_banks`, whose entry
 //!     guarantees the chosen bank is sized.
@@ -119,7 +120,7 @@ use crate::typing::RegBank;
 use bsg_ir::eval::{eval_bin, eval_un};
 use bsg_ir::program::MemoryLayout;
 use bsg_ir::types::{BlockId, FuncId, GlobalId, Reg, Ty, Value, WORD_BYTES};
-use bsg_ir::visa::{Address, BinOp, Inst, InstClass, MemBase, Operand, Terminator, UnOp};
+use bsg_ir::visa::{Address, BinOp, Inst, InstClass, MemBase, Operand, Terminator};
 use bsg_ir::Program;
 
 /// Identifies a static instruction (profiling key).
@@ -432,65 +433,6 @@ fn float_arith(op: BinOp, a: f64, b: f64) -> f64 {
             }
         }
         _ => unreachable!("decode only emits arithmetic ops in FloatAlu"),
-    }
-}
-
-/// Float comparison semantics of the [`Step::FloatCmp`] subset.  Must agree
-/// exactly with [`eval_bin`]`(op, Ty::Float, ..)` on float operands.
-#[inline]
-fn float_cmp(op: BinOp, a: f64, b: f64) -> i64 {
-    match op {
-        BinOp::Lt => (a < b) as i64,
-        BinOp::Le => (a <= b) as i64,
-        BinOp::Gt => (a > b) as i64,
-        BinOp::Ge => (a >= b) as i64,
-        BinOp::Eq => (a == b) as i64,
-        BinOp::Ne => (a != b) as i64,
-        _ => unreachable!("decode only emits comparisons in FloatCmp"),
-    }
-}
-
-/// `i64 -> i64` unary semantics of the [`Step::UnII`] subset.  Must agree
-/// exactly with [`eval_un`] on `Value::Int` inputs for the ops
-/// `image::un_is_ii` accepts.
-#[inline]
-fn un_ii(op: UnOp, v: i64) -> i64 {
-    match op {
-        UnOp::Neg => v.wrapping_neg(),
-        UnOp::Not => !v,
-        UnOp::LogicalNot => (v == 0) as i64,
-        UnOp::ToInt => v,
-        UnOp::Abs => v.wrapping_abs(),
-        _ => unreachable!("decode only emits int-to-int ops in UnII"),
-    }
-}
-
-/// `f64 -> f64` unary semantics of the [`Step::UnFF`] subset.  Must agree
-/// exactly with [`eval_un`] on `Value::Float` inputs for the ops
-/// `image::un_is_ff` accepts.
-#[inline]
-fn un_ff(op: UnOp, v: f64) -> f64 {
-    match op {
-        UnOp::Neg => -v,
-        UnOp::Abs => v.abs(),
-        UnOp::ToFloat => v,
-        UnOp::Sqrt => {
-            if v < 0.0 {
-                0.0
-            } else {
-                v.sqrt()
-            }
-        }
-        UnOp::Sin => v.sin(),
-        UnOp::Cos => v.cos(),
-        UnOp::Log => {
-            if v <= 0.0 {
-                0.0
-            } else {
-                v.ln()
-            }
-        }
-        _ => unreachable!("decode only emits float-to-float ops in UnFF"),
     }
 }
 
@@ -1029,30 +971,8 @@ impl<'a> Engine<'a> {
                         Step::FloatAlu(a) => {
                             exec_float_alu(a, frame);
                         }
-                        Step::FloatCmp(FloatAlu { op, dst, lhs, rhs }) => {
-                            let a = float_src(*lhs, frame);
-                            let b = float_src(*rhs, frame);
-                            *at_mut(&mut frame.ints, *dst as usize) = float_cmp(*op, a, b);
-                        }
-                        Step::UnII { op, dst, src } => {
-                            let v = *at(&frame.ints, *src as usize);
-                            *at_mut(&mut frame.ints, *dst as usize) = un_ii(*op, v);
-                        }
-                        Step::UnFF { op, dst, src } => {
-                            let v = *at(&frame.floats, *src as usize);
-                            *at_mut(&mut frame.floats, *dst as usize) = un_ff(*op, v);
-                        }
-                        Step::UnIF { op, dst, src } => {
-                            // `as f64` is exactly `Value::as_float` on the
-                            // proven-int source.
-                            let v = *at(&frame.ints, *src as usize) as f64;
-                            *at_mut(&mut frame.floats, *dst as usize) = un_ff(*op, v);
-                        }
                         Step::IMovI { dst, imm } => {
                             *at_mut(&mut frame.ints, *dst as usize) = *imm;
-                        }
-                        Step::FMovI { dst, imm } => {
-                            *at_mut(&mut frame.floats, *dst as usize) = *imm;
                         }
                         Step::IMovRR { dst, src } => {
                             *at_mut(&mut frame.ints, *dst as usize) =
@@ -1077,10 +997,6 @@ impl<'a> Engine<'a> {
                             *at_mut(&mut frame.slots_float, s.slot as usize) =
                                 float_src(*src, frame);
                             mem_write = Some(self.image.layout.frame_addr(depth, s.elem));
-                        }
-                        Step::FMovRR { dst, src } => {
-                            *at_mut(&mut frame.floats, *dst as usize) =
-                                *at(&frame.floats, *src as usize);
                         }
                         // --- fused superinstructions -------------------------
                         Step::IntPair(a, b) => {
@@ -1473,7 +1389,6 @@ impl<'a> Engine<'a> {
                             let v = self.operand(src, frame, f, depth, &mut mem_read);
                             self.printed.push(v);
                         }
-                        Step::Nop => {}
                         Step::Jump(_) | Step::Branch { .. } | Step::Return { .. } => {
                             unreachable!("terminators handled above")
                         }
@@ -1711,7 +1626,6 @@ impl<'a> LegacyMachine<'a> {
                 let v = self.operand(src, frame, Some(&mut mem_read));
                 self.printed.push(v);
             }
-            Inst::Nop => {}
         }
         observer.on_inst(&InstEvent {
             site,
@@ -2218,7 +2132,7 @@ mod tests {
     }
 
     #[test]
-    fn float_micro_ops_match_eval_bin_and_eval_un() {
+    fn float_arith_matches_eval_bin() {
         let samples = [-3.5f64, -0.0, 0.0, 0.25, 1.0, 2.5, 1e100, f64::INFINITY];
         for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Rem] {
             for a in samples {
@@ -2236,64 +2150,6 @@ mod tests {
                         "op {op:?} a {a} b {b}: {got} vs {want}"
                     );
                 }
-            }
-        }
-        for op in [
-            BinOp::Lt,
-            BinOp::Le,
-            BinOp::Gt,
-            BinOp::Ge,
-            BinOp::Eq,
-            BinOp::Ne,
-        ] {
-            for a in samples {
-                for b in samples {
-                    assert_eq!(
-                        Value::Int(float_cmp(op, a, b)),
-                        eval_bin(op, Ty::Float, Value::Float(a), Value::Float(b)),
-                        "op {op:?} a {a} b {b}"
-                    );
-                }
-            }
-        }
-        for v in [i64::MIN, -5, 0, 1, 77, i64::MAX] {
-            assert_eq!(
-                Value::Int(un_ii(UnOp::Neg, v)),
-                eval_un(UnOp::Neg, Ty::Int, Value::Int(v))
-            );
-            assert_eq!(
-                Value::Int(un_ii(UnOp::Not, v)),
-                eval_un(UnOp::Not, Ty::Int, Value::Int(v))
-            );
-            assert_eq!(
-                Value::Int(un_ii(UnOp::LogicalNot, v)),
-                eval_un(UnOp::LogicalNot, Ty::Int, Value::Int(v))
-            );
-            assert_eq!(
-                Value::Int(un_ii(UnOp::ToInt, v)),
-                eval_un(UnOp::ToInt, Ty::Int, Value::Int(v))
-            );
-            assert_eq!(
-                Value::Int(un_ii(UnOp::Abs, v)),
-                eval_un(UnOp::Abs, Ty::Int, Value::Int(v))
-            );
-        }
-        for v in [-2.0f64, -0.5, 0.0, 0.5, 4.0, 1e10] {
-            for op in [
-                UnOp::Neg,
-                UnOp::Abs,
-                UnOp::ToFloat,
-                UnOp::Sqrt,
-                UnOp::Sin,
-                UnOp::Cos,
-                UnOp::Log,
-            ] {
-                let ty = Ty::Float;
-                assert_eq!(
-                    Value::Float(un_ff(op, v)),
-                    eval_un(op, ty, Value::Float(v)),
-                    "op {op:?} v {v}"
-                );
             }
         }
     }

@@ -28,12 +28,17 @@
 //! slot-bank table, statically-addressed accesses resolve their slot and
 //! bank at decode (lowering to untagged `Step::LoadFI` / `Step::LoadFF` /
 //! `Step::StoreFI` / `Step::StoreFF` when the banks line up), and
-//! register-indexed accesses consult the table at run time.  Steps whose
-//! operands and destination all live in untagged banks lower to dedicated
-//! variants (`IntAlu`, `Step::FloatAlu`, ...) that never touch a `Value`
-//! tag; everything else lowers to general variants that read and write
-//! registers through the per-function bank table, preserving exact tagged
-//! semantics.
+//! register-indexed accesses consult the table at run time.  Integer ALU
+//! operations, float arithmetic and integer moves whose operands and
+//! destination all live in untagged banks lower to dedicated variants
+//! (`Step::IntAlu`, `Step::FloatAlu`, `Step::IMovI`, `Step::IMovRR`) that
+//! never touch a `Value` tag.  Everything else (unary operations, float
+//! moves and comparisons included) lowers to general variants that read and
+//! write registers through the per-function bank table, preserving exact
+//! tagged semantics.  These eight untagged single steps are kept for the
+//! same reason as the fused shapes below: each carries a measurable share of
+//! dispatches, or is a kept fused shape's constituent (DESIGN.md, "Which
+//! step variants stay").
 //!
 //! # Superinstruction fusion
 //!
@@ -201,14 +206,13 @@ pub(crate) enum FloatSrc {
     Imm(f64),
 }
 
-/// One untagged float operation: `lhs op rhs` over `f64` operands.
+/// One untagged float arithmetic operation: `lhs op rhs` over `f64`
+/// operands, `f64` result.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FloatAlu {
-    /// Operation (arithmetic for [`Step::FloatAlu`], comparison for
-    /// [`Step::FloatCmp`]).
+    /// Operation (`Add`/`Sub`/`Mul`/`Div`/`Rem`).
     pub op: BinOp,
-    /// Destination register (float bank for arithmetic, int bank for
-    /// comparisons).
+    /// Destination register (float bank).
     pub dst: u32,
     /// Left operand.
     pub lhs: FloatSrc,
@@ -221,8 +225,10 @@ pub(crate) struct FloatAlu {
 /// Predecoding resolves every dispatch that is static: operand banks are
 /// resolved through the type analysis, loads/stores are split by memory base
 /// with bounds and base addresses precomputed, and control-flow targets are
-/// step indices.  Variants prefixed by their bank discipline (`Int*`, `F*`)
-/// never touch a `Value` tag; the general variants (`IntBin`, `FloatBin`,
+/// step indices.  The untagged variants (`IntAlu`, `FloatAlu`, `IMovI`,
+/// `IMovRR`, the static frame accesses `LoadFI`/`LoadFF`/`StoreFI`/`StoreFF`
+/// and the fused shapes built from them) never touch a `Value` tag; the
+/// general variants (`IntBin`, `FloatBin`,
 /// `Un`, `Mov`, ...) go through the per-function bank table and cover every
 /// remaining shape exactly.
 #[derive(Debug, Clone)]
@@ -364,38 +370,6 @@ pub(crate) enum Step {
     /// Untagged float arithmetic (`Add`/`Sub`/`Mul`/`Div`/`Rem`), `f64` in,
     /// `f64` out.
     FloatAlu(FloatAlu),
-    /// Untagged float comparison, `f64` in, `i64` (0/1) out.
-    FloatCmp(FloatAlu),
-    /// Untagged unary: `i64` in, `i64` out.
-    UnII {
-        /// Operation (one of the int-to-int subset).
-        op: UnOp,
-        /// Destination register (int bank).
-        dst: u32,
-        /// Source register (int bank).
-        src: u32,
-    },
-    /// Untagged unary: `f64` in, `f64` out.
-    UnFF {
-        /// Operation (one of the float-to-float subset).
-        op: UnOp,
-        /// Destination register (float bank).
-        dst: u32,
-        /// Source register (float bank).
-        src: u32,
-    },
-    /// Untagged unary: `i64` in, `f64` out — the `un_ff` operation subset
-    /// applied to a proven-int source (`ToFloat(k)`, `sqrt` of an int, ...).
-    /// Reading the int bank with `as f64` is exactly `Value::as_float` on a
-    /// proven-int value, so this matches `eval_un` bit for bit.
-    UnIF {
-        /// Operation (one of the float-result subset accepted by `un_is_ff`).
-        op: UnOp,
-        /// Destination register (float bank).
-        dst: u32,
-        /// Source register (int bank).
-        src: u32,
-    },
     /// `ints[dst] = imm`.
     IMovI {
         /// Destination register (int bank).
@@ -403,25 +377,11 @@ pub(crate) enum Step {
         /// Immediate.
         imm: i64,
     },
-    /// `floats[dst] = imm`.
-    FMovI {
-        /// Destination register (float bank).
-        dst: u32,
-        /// Immediate.
-        imm: f64,
-    },
     /// `ints[dst] = ints[src]`.
     IMovRR {
         /// Destination register (int bank).
         dst: u32,
         /// Source register (int bank).
-        src: u32,
-    },
-    /// `floats[dst] = floats[src]`.
-    FMovRR {
-        /// Destination register (float bank).
-        dst: u32,
-        /// Source register (float bank).
         src: u32,
     },
     /// `dst = lhs op rhs` on integers, general operand/bank shapes.
@@ -544,8 +504,6 @@ pub(crate) enum Step {
         /// Printed operand.
         src: Operand,
     },
-    /// No operation.
-    Nop,
     /// Unconditional transfer.
     Jump(EdgeTarget),
     /// Conditional transfer on `cond` being non-zero.
@@ -585,14 +543,8 @@ impl Step {
             Step::LoadFCmpBr { .. } => "LoadFCmpBr",
             Step::StoreFIJump { .. } => "StoreFIJump",
             Step::FloatAlu(_) => "FloatAlu",
-            Step::FloatCmp(_) => "FloatCmp",
-            Step::UnII { .. } => "UnII",
-            Step::UnFF { .. } => "UnFF",
-            Step::UnIF { .. } => "UnIF",
             Step::IMovI { .. } => "IMovI",
-            Step::FMovI { .. } => "FMovI",
             Step::IMovRR { .. } => "IMovRR",
-            Step::FMovRR { .. } => "FMovRR",
             Step::IntBin { .. } => "IntBin",
             Step::FloatBin { .. } => "FloatBin",
             Step::Un { .. } => "Un",
@@ -607,7 +559,6 @@ impl Step {
             Step::StoreFrame { .. } => "StoreFrame",
             Step::Call { .. } => "Call",
             Step::Print { .. } => "Print",
-            Step::Nop => "Nop",
             Step::Jump(_) => "Jump",
             Step::Branch { .. } => "Branch",
             Step::Return { .. } => "Return",
@@ -748,34 +699,6 @@ fn site_meta(inst: &Inst, site: InstSite) -> SiteMeta {
     }
 }
 
-/// Whether `eval_un(op, ty, Int(_))` is an `i64 -> i64` function (the
-/// [`Step::UnII`] subset; must stay in sync with `exec::un_ii`).
-fn un_is_ii(op: UnOp, ty: Ty) -> bool {
-    matches!(
-        (op, ty),
-        (UnOp::Neg, Ty::Int)
-            | (UnOp::Abs, Ty::Int)
-            | (UnOp::Not, _)
-            | (UnOp::LogicalNot, _)
-            | (UnOp::ToInt, _)
-    )
-}
-
-/// Whether `eval_un(op, ty, Float(_))` is an `f64 -> f64` function (the
-/// [`Step::UnFF`] subset; must stay in sync with `exec::un_ff`).
-fn un_is_ff(op: UnOp, ty: Ty) -> bool {
-    matches!(
-        (op, ty),
-        (UnOp::Neg, Ty::Float)
-            | (UnOp::Abs, Ty::Float)
-            | (UnOp::ToFloat, _)
-            | (UnOp::Sqrt, _)
-            | (UnOp::Sin, _)
-            | (UnOp::Cos, _)
-            | (UnOp::Log, _)
-    )
-}
-
 fn is_float_arith(op: BinOp) -> bool {
     matches!(
         op,
@@ -793,14 +716,18 @@ fn imm_val(op: &Operand) -> Option<Value> {
 }
 
 /// Lowers a decode-time-computed constant (`eval_bin`/`eval_un` over
-/// immediate operands — both are pure) into an untagged move when the
-/// destination bank matches the constant's tag; `None` keeps the general
-/// step, preserving exact tagged semantics.  The site table is untouched, so
-/// observers still see the instruction's real class.
+/// immediate operands — both are pure) into a move when the destination bank
+/// matches the constant's tag: an untagged `IMovI` for ints, a general `Mov`
+/// of the immediate for floats.  `None` keeps the general step, preserving
+/// exact tagged semantics.  The site table is untouched, so observers still
+/// see the instruction's real class.
 fn fold_const(v: Value, dst: u32, bank: impl Fn(u32) -> RegBank) -> Option<Step> {
     match (v, bank(dst)) {
         (Value::Int(imm), RegBank::Int) => Some(Step::IMovI { dst, imm }),
-        (Value::Float(imm), RegBank::Float) => Some(Step::FMovI { dst, imm }),
+        (Value::Float(imm), RegBank::Float) => Some(Step::Mov {
+            dst,
+            src: Operand::ImmFloat(imm),
+        }),
         _ => None,
     }
 }
@@ -1013,126 +940,47 @@ impl ExecImage {
                                             rhs: *rhs,
                                         },
                                     },
-                                    Ty::Float => {
-                                        let quick = match (float_src(lhs), float_src(rhs)) {
-                                            (Some(l), Some(r)) => {
-                                                if is_float_arith(*op)
-                                                    && bank(dst.0) == RegBank::Float
-                                                {
-                                                    Some(Step::FloatAlu(FloatAlu {
-                                                        op: *op,
-                                                        dst: dst.0,
-                                                        lhs: l,
-                                                        rhs: r,
-                                                    }))
-                                                } else if op.is_comparison()
-                                                    && bank(dst.0) == RegBank::Int
-                                                {
-                                                    Some(Step::FloatCmp(FloatAlu {
-                                                        op: *op,
-                                                        dst: dst.0,
-                                                        lhs: l,
-                                                        rhs: r,
-                                                    }))
-                                                } else {
-                                                    None
-                                                }
-                                            }
-                                            _ => None,
-                                        };
-                                        quick.unwrap_or(Step::FloatBin {
+                                    Ty::Float => match (float_src(lhs), float_src(rhs)) {
+                                        (Some(l), Some(r))
+                                            if is_float_arith(*op)
+                                                && bank(dst.0) == RegBank::Float =>
+                                        {
+                                            Step::FloatAlu(FloatAlu {
+                                                op: *op,
+                                                dst: dst.0,
+                                                lhs: l,
+                                                rhs: r,
+                                            })
+                                        }
+                                        _ => Step::FloatBin {
                                             op: *op,
                                             dst: dst.0,
                                             lhs: *lhs,
                                             rhs: *rhs,
-                                        })
-                                    }
+                                        },
+                                    },
                                 }
                             }
                         }
-                        Inst::Un { op, ty, dst, src } => match src {
-                            Operand::Reg(r)
-                                if bank(r.0) == RegBank::Int
-                                    && bank(dst.0) == RegBank::Int
-                                    && un_is_ii(*op, *ty) =>
-                            {
-                                Step::UnII {
-                                    op: *op,
-                                    dst: dst.0,
-                                    src: r.0,
-                                }
-                            }
-                            Operand::Reg(r)
-                                if bank(r.0) == RegBank::Float
-                                    && bank(dst.0) == RegBank::Float
-                                    && un_is_ff(*op, *ty) =>
-                            {
-                                Step::UnFF {
-                                    op: *op,
-                                    dst: dst.0,
-                                    src: r.0,
-                                }
-                            }
-                            // Float-result unary of a proven-int register
-                            // (`ToFloat(k)` dominates mixed int/float loop
-                            // bodies): still fully untagged.
-                            Operand::Reg(r)
-                                if bank(r.0) == RegBank::Int
-                                    && bank(dst.0) == RegBank::Float
-                                    && un_is_ff(*op, *ty) =>
-                            {
-                                Step::UnIF {
-                                    op: *op,
-                                    dst: dst.0,
-                                    src: r.0,
-                                }
-                            }
-                            // Constant-fold immediate sources at decode:
-                            // `eval_un` is pure, so the step becomes a move
-                            // of the precomputed result (the site keeps its
-                            // real instruction class for observers).
-                            Operand::ImmInt(v) => {
-                                fold_const(eval_un(*op, *ty, Value::Int(*v)), dst.0, bank)
-                                    .unwrap_or(Step::Un {
-                                        op: *op,
-                                        ty: *ty,
-                                        dst: dst.0,
-                                        src: *src,
-                                    })
-                            }
-                            Operand::ImmFloat(v) => {
-                                fold_const(eval_un(*op, *ty, Value::Float(*v)), dst.0, bank)
-                                    .unwrap_or(Step::Un {
-                                        op: *op,
-                                        ty: *ty,
-                                        dst: dst.0,
-                                        src: *src,
-                                    })
-                            }
-                            _ => Step::Un {
+                        // Constant-fold immediate sources at decode: `eval_un`
+                        // is pure, so the step becomes a move of the
+                        // precomputed result (the site keeps its real
+                        // instruction class for observers).
+                        Inst::Un { op, ty, dst, src } => imm_val(src)
+                            .and_then(|v| fold_const(eval_un(*op, *ty, v), dst.0, bank))
+                            .unwrap_or(Step::Un {
                                 op: *op,
                                 ty: *ty,
                                 dst: dst.0,
                                 src: *src,
-                            },
-                        },
+                            }),
                         Inst::Mov { dst, src } => match (src, bank(dst.0)) {
                             (Operand::ImmInt(v), RegBank::Int) => Step::IMovI {
                                 dst: dst.0,
                                 imm: *v,
                             },
-                            (Operand::ImmFloat(v), RegBank::Float) => Step::FMovI {
-                                dst: dst.0,
-                                imm: *v,
-                            },
                             (Operand::Reg(r), RegBank::Int) if bank(r.0) == RegBank::Int => {
                                 Step::IMovRR {
-                                    dst: dst.0,
-                                    src: r.0,
-                                }
-                            }
-                            (Operand::Reg(r), RegBank::Float) if bank(r.0) == RegBank::Float => {
-                                Step::FMovRR {
                                     dst: dst.0,
                                     src: r.0,
                                 }
@@ -1217,7 +1065,6 @@ impl ExecImage {
                             }
                         }
                         Inst::Print { src } => Step::Print { src: *src },
-                        Inst::Nop => Step::Nop,
                     });
                 }
                 let term_site = InstSite {
@@ -1341,25 +1188,32 @@ impl ExecImage {
         &self.sites[site_id as usize]
     }
 
-    /// Diagnostic: buckets per-site dynamic execution counts by the step
-    /// variant that actually **dispatches** them (descending).  Blocks are
-    /// walked with each variant's fusion footprint, so a site consumed by a
-    /// superinstruction is attributed to its fusion head rather than the
-    /// unreachable original in its slot.  Used by the perf tooling to find
-    /// hot unfused shapes; not on any hot path.
-    pub fn step_histogram(&self, counts: &[u64]) -> Vec<(&'static str, u64)> {
+    /// Diagnostic: dynamic dispatches by step variant (descending), from
+    /// per-block entry counts indexed by dense block index (what
+    /// [`Observer::on_block`](crate::exec::Observer::on_block) reports).
+    /// Control only enters a block at its first step and runs it to its
+    /// terminator, so each entry dispatches every point of the block's
+    /// fusion-footprint walk once: a site consumed by a superinstruction is
+    /// attributed to its fusion head, and steps that emit no event of their
+    /// own (a bare `Jump`) are counted too.  A run cut short by its budget
+    /// is credited with the rest of its last block.  Used by the perf
+    /// tooling to find hot shapes; not on any hot path.
+    pub fn step_histogram(&self, block_counts: &[u64]) -> Vec<(&'static str, u64)> {
         use std::collections::HashMap;
         let mut by_variant: HashMap<&'static str, u64> = HashMap::new();
         for f in &self.funcs {
-            for (&start, &term) in f.block_pc.iter().zip(&f.term_pc) {
+            for (b, (&start, &term)) in f.block_pc.iter().zip(&f.term_pc).enumerate() {
+                let n = block_counts
+                    .get(f.block_idx_base as usize + b)
+                    .copied()
+                    .unwrap_or(0);
+                if n == 0 {
+                    continue;
+                }
                 let mut i = start as usize;
-                let term = term as usize;
-                while i <= term {
+                while i <= term as usize {
                     let step = &self.steps[i];
-                    let n = counts.get(i).copied().unwrap_or(0);
-                    if n > 0 {
-                        *by_variant.entry(step.variant_name()).or_default() += n;
-                    }
+                    *by_variant.entry(step.variant_name()).or_default() += n;
                     match step.footprint() {
                         // Terminator-absorbing superinstructions cover the
                         // rest of the block.
@@ -1820,6 +1674,109 @@ mod tests {
         ]
         .into();
         assert_eq!(heads, kept);
+    }
+
+    /// The untagged single-step variants decode emits over the same inputs
+    /// are exactly the kept ones: every other instruction shape lowers to a
+    /// general step (`IntBin`, `FloatBin`, `Un`, `Mov` and the memory,
+    /// call and control steps).  A new specialization must be listed here
+    /// (and measured with `step_histo`) before it lands.
+    #[test]
+    fn decode_emits_exactly_the_kept_untagged_single_steps() {
+        use bsg_compiler::{compile, CompileOptions, OptLevel, TargetIsa};
+        use std::collections::BTreeSet;
+        let general = [
+            "IntBin",
+            "FloatBin",
+            "Un",
+            "Mov",
+            "LoadGlobal",
+            "LoadFrame",
+            "StoreGlobal",
+            "StoreFrame",
+            "Call",
+            "Print",
+            "Jump",
+            "Branch",
+            "Return",
+        ];
+        let mut untagged = BTreeSet::new();
+        for w in bsg_workloads::suite(bsg_workloads::InputSize::Small) {
+            for opt in OptLevel::ALL {
+                for isa in TargetIsa::ALL {
+                    let compiled = compile(&w.program, &CompileOptions::new(opt, isa))
+                        .unwrap_or_else(|e| panic!("{} {opt} {isa:?}: {e:?}", w.name));
+                    for image in [
+                        ExecImage::new(&compiled.program),
+                        ExecImage::unfused(&compiled.program),
+                    ] {
+                        untagged.extend(
+                            image
+                                .steps
+                                .iter()
+                                .filter(|s| s.footprint() == Some(1))
+                                .map(Step::variant_name)
+                                .filter(|name| !general.contains(name)),
+                        );
+                    }
+                }
+            }
+        }
+        let kept: BTreeSet<&str> = [
+            "IntAlu", "FloatAlu", "IMovI", "IMovRR", "LoadFI", "LoadFF", "StoreFI", "StoreFF",
+        ]
+        .into();
+        assert_eq!(untagged, kept);
+    }
+
+    /// Block-entry counting sees every dispatch, including a bare `Jump`,
+    /// which emits no instruction event of its own.
+    #[test]
+    fn step_histogram_counts_every_latch_jump() {
+        use crate::exec::{execute_image, ExecConfig, Observer};
+        struct BlockCounts(Vec<u64>);
+        impl Observer for BlockCounts {
+            fn on_block(&mut self, _func: FuncId, _block: BlockId, block_idx: u32) {
+                self.0[block_idx as usize] += 1;
+            }
+        }
+        // A counted loop entered at its header: `i` starts at its implicit
+        // zero, and the latch jumps back once per trip.
+        let mut p = Program::new();
+        let mut f = Function::new("main");
+        let i = f.fresh_reg();
+        let c = f.fresh_reg();
+        let body = f.add_block();
+        let exit = f.add_block();
+        f.blocks[0].insts = vec![Inst::Bin {
+            op: BinOp::Lt,
+            ty: Ty::Int,
+            dst: c,
+            lhs: i.into(),
+            rhs: Operand::ImmInt(10),
+        }];
+        f.blocks[0].term = Terminator::Branch {
+            cond: c,
+            taken: body,
+            not_taken: exit,
+        };
+        f.blocks[body.index()].insts = vec![Inst::Bin {
+            op: BinOp::Add,
+            ty: Ty::Int,
+            dst: i,
+            lhs: i.into(),
+            rhs: Operand::ImmInt(1),
+        }];
+        f.blocks[body.index()].term = Terminator::Jump(BlockId(0));
+        f.blocks[exit.index()].term = Terminator::Return(Some(i.into()));
+        p.add_function(f);
+        for image in [ExecImage::new(&p), ExecImage::unfused(&p)] {
+            let mut counts = BlockCounts(vec![0; image.num_blocks()]);
+            execute_image(&image, &mut counts, &ExecConfig::default());
+            let histo = image.step_histogram(&counts.0);
+            let jumps = histo.iter().find(|(name, _)| *name == "Jump");
+            assert_eq!(jumps, Some(&("Jump", 10)), "{histo:?}");
+        }
     }
 
     #[test]

@@ -291,7 +291,6 @@ fn frame_entry_live(f: &bsg_ir::program::Function) -> Vec<bool> {
                             gen_operand(&mut live, a);
                         }
                     }
-                    Inst::Nop => {}
                 }
             }
             if live != live_in[bi] {
@@ -516,7 +515,7 @@ pub(crate) fn infer(program: &Program) -> TypeInfo {
                                 join_into(&mut regs[fi][d.0 as usize], Lat::Top, &mut changed);
                             }
                         }
-                        Inst::Print { .. } | Inst::Nop => {}
+                        Inst::Print { .. } => {}
                     }
                 }
                 if let Terminator::Return(Some(op)) = &program.functions[fi].blocks[bi].term {

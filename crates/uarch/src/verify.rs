@@ -61,7 +61,7 @@ use crate::image::{
 };
 use crate::typing::{bin_result, un_result, Lat, RegBank};
 use bsg_ir::types::{Reg, Value};
-use bsg_ir::visa::{Inst, MemBase, Operand, Terminator};
+use bsg_ir::visa::{BinOp, Inst, MemBase, Operand, Terminator};
 use bsg_ir::Program;
 use std::collections::HashMap;
 use std::fmt;
@@ -254,7 +254,6 @@ pub(crate) fn validate_program(program: &Program) {
                             check_operand(a);
                         }
                     }
-                    Inst::Nop => {}
                 }
             }
             for u in b.term.uses() {
@@ -778,53 +777,11 @@ fn gmem_eq(a: &GlobalMem, b: &GlobalMem) -> bool {
 fn step_sem_eq(a: &Step, b: &Step) -> bool {
     match (a, b) {
         (Step::IntAlu(x), Step::IntAlu(y)) => int_alu_eq(x, y),
-        (Step::FloatAlu(x), Step::FloatAlu(y)) | (Step::FloatCmp(x), Step::FloatCmp(y)) => {
-            float_alu_eq(x, y)
-        }
-        (
-            Step::UnII {
-                op: o1,
-                dst: d1,
-                src: s1,
-            },
-            Step::UnII {
-                op: o2,
-                dst: d2,
-                src: s2,
-            },
-        )
-        | (
-            Step::UnFF {
-                op: o1,
-                dst: d1,
-                src: s1,
-            },
-            Step::UnFF {
-                op: o2,
-                dst: d2,
-                src: s2,
-            },
-        )
-        | (
-            Step::UnIF {
-                op: o1,
-                dst: d1,
-                src: s1,
-            },
-            Step::UnIF {
-                op: o2,
-                dst: d2,
-                src: s2,
-            },
-        ) => o1 == o2 && d1 == d2 && s1 == s2,
+        (Step::FloatAlu(x), Step::FloatAlu(y)) => float_alu_eq(x, y),
         (Step::IMovI { dst: d1, imm: i1 }, Step::IMovI { dst: d2, imm: i2 }) => {
             d1 == d2 && i1 == i2
         }
-        (Step::FMovI { dst: d1, imm: i1 }, Step::FMovI { dst: d2, imm: i2 }) => {
-            d1 == d2 && i1.to_bits() == i2.to_bits()
-        }
-        (Step::IMovRR { dst: d1, src: s1 }, Step::IMovRR { dst: d2, src: s2 })
-        | (Step::FMovRR { dst: d1, src: s1 }, Step::FMovRR { dst: d2, src: s2 }) => {
+        (Step::IMovRR { dst: d1, src: s1 }, Step::IMovRR { dst: d2, src: s2 }) => {
             d1 == d2 && s1 == s2
         }
         (
@@ -938,7 +895,6 @@ fn step_sem_eq(a: &Step, b: &Step) -> bool {
             },
         ) => f1 == f2 && s1 == s2 && l1 == l2 && d1 == d2,
         (Step::Print { src: s1 }, Step::Print { src: s2 }) => operand_eq(s1, s2),
-        (Step::Nop, Step::Nop) => true,
         (Step::Jump(t1), Step::Jump(t2)) => edge_eq(t1, t2),
         (
             Step::Branch {
@@ -1170,15 +1126,8 @@ impl<'a> StepChecker<'a> {
         self.int_src(fi, f, pc, &a.rhs)
     }
 
-    fn float_alu(
-        &self,
-        fi: u32,
-        f: &FuncImage,
-        pc: u32,
-        a: &FloatAlu,
-        dst_bank: RegBank,
-    ) -> Result<(), VerifyError> {
-        self.reg(fi, f, pc, a.dst, Some(dst_bank))?;
+    fn float_alu(&self, fi: u32, f: &FuncImage, pc: u32, a: &FloatAlu) -> Result<(), VerifyError> {
+        self.reg(fi, f, pc, a.dst, Some(RegBank::Float))?;
         self.float_src(fi, f, pc, &a.lhs)?;
         self.float_src(fi, f, pc, &a.rhs)
     }
@@ -1351,29 +1300,11 @@ impl<'a> StepChecker<'a> {
     ) -> Result<(), VerifyError> {
         match step {
             Step::IntAlu(a) => self.int_alu(fi, f, pc, a),
-            Step::FloatAlu(a) => self.float_alu(fi, f, pc, a, RegBank::Float),
-            Step::FloatCmp(a) => self.float_alu(fi, f, pc, a, RegBank::Int),
-            Step::UnII { dst, src, .. } => {
-                self.reg(fi, f, pc, *dst, Some(RegBank::Int))?;
-                self.reg(fi, f, pc, *src, Some(RegBank::Int))
-            }
-            Step::UnFF { dst, src, .. } => {
-                self.reg(fi, f, pc, *dst, Some(RegBank::Float))?;
-                self.reg(fi, f, pc, *src, Some(RegBank::Float))
-            }
-            Step::UnIF { dst, src, .. } => {
-                self.reg(fi, f, pc, *dst, Some(RegBank::Float))?;
-                self.reg(fi, f, pc, *src, Some(RegBank::Int))
-            }
+            Step::FloatAlu(a) => self.float_alu(fi, f, pc, a),
             Step::IMovI { dst, .. } => self.reg(fi, f, pc, *dst, Some(RegBank::Int)),
-            Step::FMovI { dst, .. } => self.reg(fi, f, pc, *dst, Some(RegBank::Float)),
             Step::IMovRR { dst, src } => {
                 self.reg(fi, f, pc, *dst, Some(RegBank::Int))?;
                 self.reg(fi, f, pc, *src, Some(RegBank::Int))
-            }
-            Step::FMovRR { dst, src } => {
-                self.reg(fi, f, pc, *dst, Some(RegBank::Float))?;
-                self.reg(fi, f, pc, *src, Some(RegBank::Float))
             }
             Step::IntBin { dst, lhs, rhs, .. } | Step::FloatBin { dst, lhs, rhs, .. } => {
                 self.reg(fi, f, pc, *dst, None)?;
@@ -1460,7 +1391,6 @@ impl<'a> StepChecker<'a> {
                 Ok(())
             }
             Step::Print { src } => self.operand(fi, f, pc, src),
-            Step::Nop => Ok(()),
             Step::Jump(t) => self.edge(fi, f, block, pc, t),
             Step::Branch {
                 cond,
@@ -1545,16 +1475,12 @@ fn for_each_use(step: &Step, call_args: &[Operand], f: &mut dyn FnMut(u32)) {
             int_src_use(&a.lhs, f);
             int_src_use(&a.rhs, f);
         }
-        Step::FloatAlu(a) | Step::FloatCmp(a) => {
+        Step::FloatAlu(a) => {
             float_src_use(&a.lhs, f);
             float_src_use(&a.rhs, f);
         }
-        Step::UnII { src, .. }
-        | Step::UnFF { src, .. }
-        | Step::UnIF { src, .. }
-        | Step::IMovRR { src, .. }
-        | Step::FMovRR { src, .. } => f(*src),
-        Step::IMovI { .. } | Step::FMovI { .. } | Step::Nop | Step::Jump(_) => {}
+        Step::IMovRR { src, .. } => f(*src),
+        Step::IMovI { .. } | Step::Jump(_) => {}
         Step::IntBin { lhs, rhs, .. } | Step::FloatBin { lhs, rhs, .. } => {
             op(lhs);
             op(rhs);
@@ -1604,14 +1530,9 @@ fn for_each_use(step: &Step, call_args: &[Operand], f: &mut dyn FnMut(u32)) {
 fn step_def_kill(step: &Step) -> Option<u32> {
     match step {
         Step::IntAlu(a) => Some(a.dst),
-        Step::FloatAlu(a) | Step::FloatCmp(a) => Some(a.dst),
-        Step::UnII { dst, .. }
-        | Step::UnFF { dst, .. }
-        | Step::UnIF { dst, .. }
-        | Step::IMovI { dst, .. }
-        | Step::FMovI { dst, .. }
+        Step::FloatAlu(a) => Some(a.dst),
+        Step::IMovI { dst, .. }
         | Step::IMovRR { dst, .. }
-        | Step::FMovRR { dst, .. }
         | Step::IntBin { dst, .. }
         | Step::FloatBin { dst, .. }
         | Step::Un { dst, .. }
@@ -2091,17 +2012,12 @@ fn flow_transfer(flow: &mut Flow<'_>, fi: usize, step: &Step, changed: &mut bool
     use bsg_ir::types::Ty;
     match step {
         Step::IntAlu(a) => join_reg(&mut flow.regs[fi], a.dst, Lat::Int, changed),
-        Step::FloatAlu(a) | Step::FloatCmp(a) => {
+        Step::FloatAlu(a) => {
             let v = bin_result(a.op, Ty::Float);
             join_reg(&mut flow.regs[fi], a.dst, v, changed);
         }
-        Step::UnII { dst, .. } => join_reg(&mut flow.regs[fi], *dst, Lat::Int, changed),
-        Step::UnFF { dst, .. } | Step::UnIF { dst, .. } => {
-            join_reg(&mut flow.regs[fi], *dst, Lat::Float, changed)
-        }
         Step::IMovI { dst, .. } => join_reg(&mut flow.regs[fi], *dst, Lat::Int, changed),
-        Step::FMovI { dst, .. } => join_reg(&mut flow.regs[fi], *dst, Lat::Float, changed),
-        Step::IMovRR { dst, src } | Step::FMovRR { dst, src } => {
+        Step::IMovRR { dst, src } => {
             let v = flow.regs[fi]
                 .get(*src as usize)
                 .copied()
@@ -2226,7 +2142,7 @@ pub enum Corruption {
     /// slot-bank table (breaks `frame-slot-bounds`).
     FrameSlotOutOfRange,
     /// Retype the first untagged access to the opposite bank — e.g. an int
-    /// immediate move becomes a float immediate move to the same (int-banked)
+    /// move becomes a float `FloatAlu` writing the same (int-banked)
     /// register (breaks `reg-bank`).
     MistypedBankAccess,
     /// Drop one constituent's budget-decrement/event arm from a fused
@@ -2294,14 +2210,9 @@ fn first_dst_mut(step: &mut Step) -> Option<&mut u32> {
         | Step::IntCmpBr { a, .. }
         | Step::IntAluLoadG { a, .. }
         | Step::IntAluStoreF { a, .. } => Some(&mut a.dst),
-        Step::FloatAlu(a) | Step::FloatCmp(a) | Step::FloatPair(a, _) => Some(&mut a.dst),
-        Step::UnII { dst, .. }
-        | Step::UnFF { dst, .. }
-        | Step::UnIF { dst, .. }
-        | Step::IMovI { dst, .. }
-        | Step::FMovI { dst, .. }
+        Step::FloatAlu(a) | Step::FloatPair(a, _) => Some(&mut a.dst),
+        Step::IMovI { dst, .. }
         | Step::IMovRR { dst, .. }
-        | Step::FMovRR { dst, .. }
         | Step::IntBin { dst, .. }
         | Step::FloatBin { dst, .. }
         | Step::Un { dst, .. }
@@ -2368,10 +2279,12 @@ pub fn corrupt_image(
         }),
         Corruption::MistypedBankAccess => img.steps.iter_mut().any(|step| match step {
             Step::IMovI { dst, .. } => {
-                *step = Step::FMovI {
+                *step = Step::FloatAlu(FloatAlu {
+                    op: BinOp::Add,
                     dst: *dst,
-                    imm: 1.0,
-                };
+                    lhs: FloatSrc::Imm(1.0),
+                    rhs: FloatSrc::Imm(0.0),
+                });
                 true
             }
             Step::LoadFI { dst, s } => {
@@ -2386,10 +2299,12 @@ pub fn corrupt_image(
                 true
             }
             Step::IMovRR { dst, src } => {
-                *step = Step::FMovRR {
+                *step = Step::FloatAlu(FloatAlu {
+                    op: BinOp::Add,
                     dst: *dst,
-                    src: *src,
-                };
+                    lhs: FloatSrc::F(*src),
+                    rhs: FloatSrc::Imm(0.0),
+                });
                 true
             }
             _ => false,

@@ -230,7 +230,6 @@ fn torture_program() -> Program {
             lhs: i.into(),
             rhs: Operand::ImmInt(1),
         },
-        Inst::Nop,
     ];
     main.blocks[latch.index()].term = Terminator::Jump(header);
     main.blocks[exit.index()].term = Terminator::Return(Some(acc.into()));
@@ -379,7 +378,8 @@ fn zero_call_depth_is_bit_identical() {
     );
 }
 
-/// Float-heavy kernel covering every quickened float/unary step shape:
+/// Float-heavy kernel covering every float/unary step shape, untagged and
+/// general:
 /// reg∘reg, reg∘imm-float, reg∘imm-int, imm∘reg, memory-operand float ops,
 /// float comparisons feeding branches, and unary ops with register,
 /// immediate and memory sources.
@@ -466,7 +466,7 @@ fn float_program() -> Program {
             lhs: z.into(),
             rhs: Operand::Mem(Address::global(g, 3)),
         },
-        // UnFF: float register source.
+        // General Un: float register source.
         Inst::Un {
             op: UnOp::Sqrt,
             ty: Ty::Float,
@@ -486,7 +486,8 @@ fn float_program() -> Program {
             dst: x,
             src: Operand::ImmFloat(0.5),
         },
-        // Float comparison (FloatCmp producing an int) feeding a branch.
+        // Float comparison (general FloatBin producing an int) feeding a
+        // branch.
         Inst::Bin {
             op: BinOp::Gt,
             ty: Ty::Float,
@@ -502,7 +503,7 @@ fn float_program() -> Program {
     };
     f.blocks[cold.index()].insts = vec![
         // Division by a zero float (defined: eval_bin semantics) and an
-        // abs through the quickened register path.
+        // abs of a float register.
         Inst::Bin {
             op: BinOp::Div,
             ty: Ty::Float,

@@ -162,15 +162,9 @@ impl Gen {
                     None
                 },
             },
-            _ => {
-                if self.rng.gen_range(0u32..2) == 0 {
-                    Inst::Print {
-                        src: self.operand(num_regs),
-                    }
-                } else {
-                    Inst::Nop
-                }
-            }
+            _ => Inst::Print {
+                src: self.operand(num_regs),
+            },
         }
     }
 
